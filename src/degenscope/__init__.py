@@ -6,7 +6,6 @@ from .cqs import (
     BasketTag,
     CqsGerm,
     Fraction,
-    MldLimitExceeded,
     NormalizedCqs,
     SMOOTH,
     TData,

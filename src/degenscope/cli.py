@@ -10,7 +10,10 @@ never appear in payloads.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -18,7 +21,9 @@ from multiprocessing import get_context
 from typing import Any
 
 from . import cqs, density, markov, wps
-from .cqs import CqsGerm, MldLimitExceeded, normalize
+# Unused here; kept bound because bench/test_bench.py checks that the
+# benchmark's trace patches cli.normalize.
+from .cqs import normalize  # noqa: F401
 from .markov import NotASolution
 from .wps import WpsTriple
 
@@ -26,8 +31,10 @@ SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
-EXIT_RESOURCE_LIMIT = 3
 EXIT_IO_FAILURE = 4
+
+RECORD_CSV_HEADER = ["a", "b", "c", "verdict", "reasons", "mld", "k2"]
+CENSUS_CSV_HEADER = ["N", "count_A", "count_B1", "count_B2", "count_B3", "count_S", "ratio"]
 
 REASON_EXPLANATIONS = {
     "not_well_formed": "weights are not pairwise coprime, so the triple is not a genuine weighted projective plane",
@@ -86,14 +93,16 @@ def _t_payload(t) -> dict | None:
     return {"d": t.d, "n": t.n, "a": t.a}
 
 
-def point_payload(pt: wps.PointReport) -> dict:
-    out: dict[str, Any] = {
-        "weight": pt.weight,
-        "smooth": pt.smooth,
-        "germ": {"m": pt.germ.m, "w1": pt.germ.w1, "w2": pt.germ.w2},
+def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
+    """The fields a point report shares with the cqs command, in order.
+
+    The chains stay tuples, which serialize as JSON arrays: a chain can hold
+    m-1 entries, and the point cache already holds this one.
+    """
+    return {
         "normalized": {"m": pt.normalized.m, "q": pt.normalized.q},
-        "chain": list(pt.chain),
-        "dual_chain": list(pt.chain[::-1]),
+        "chain": pt.chain,
+        "dual_chain": pt.chain[::-1],
         "t_data": _t_payload(pt.t_data),
         "wahl": pt.t_data is not None and pt.t_data.is_wahl,
         "mu": pt.mu,
@@ -103,9 +112,37 @@ def point_payload(pt: wps.PointReport) -> dict:
         "gorenstein_index": pt.gorenstein_index,
         "baskets": _basket_payload(pt.baskets),
     }
+
+
+def _germ_payload(germ: cqs.CqsGerm) -> dict[str, int]:
+    return {"m": germ.m, "w1": germ.w1, "w2": germ.w2}
+
+
+def point_payload(pt: wps.PointReport) -> dict:
+    out: dict[str, Any] = {
+        "weight": pt.weight,
+        "smooth": pt.smooth,
+        "germ": _germ_payload(pt.germ),
+        **_classification_fields(pt),
+    }
     if pt.mld is not None:
         out.update(frac_fields("mld", pt.mld))
     return out
+
+
+def _family_a_payload(w: wps.FamilyAWitness) -> dict[str, Any]:
+    return {"permutation": list(w.permutation), "indices": list(w.indices)}
+
+
+def _family_b_payload(w: wps.FamilyBWitness) -> dict[str, Any]:
+    return {
+        "family": w.family,
+        "n": w.n,
+        "l": w.l,
+        "k": w.k,
+        "permutation": list(w.permutation),
+        "indices": list(w.indices),
+    }
 
 
 def reason_payload(reason: wps.Reason, explain: bool = False) -> dict:
@@ -113,20 +150,9 @@ def reason_payload(reason: wps.Reason, explain: bool = False) -> dict:
     if reason.mld is not None:
         out.update(frac_fields("mld", reason.mld))
     if reason.family_a is not None:
-        out["permutation"] = list(reason.family_a.permutation)
-        out["indices"] = list(reason.family_a.indices)
+        out.update(_family_a_payload(reason.family_a))
     if reason.family_b is not None:
-        w = reason.family_b
-        out.update(
-            {
-                "family": w.family,
-                "n": w.n,
-                "l": w.l,
-                "k": w.k,
-                "permutation": list(w.permutation),
-                "indices": list(w.indices),
-            }
-        )
+        out.update(_family_b_payload(reason.family_b))
     if explain:
         out["explain"] = REASON_EXPLANATIONS[reason.kind]
     return out
@@ -160,26 +186,8 @@ def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
     else:
         lhs, holds = report.noether
         out["noether"] = {**frac_fields("lhs", lhs), "holds": holds}
-    out["family_a"] = (
-        None
-        if report.family_a is None
-        else {
-            "permutation": list(report.family_a.permutation),
-            "indices": list(report.family_a.indices),
-        }
-    )
-    out["family_b"] = (
-        None
-        if report.family_b is None
-        else {
-            "family": report.family_b.family,
-            "n": report.family_b.n,
-            "l": report.family_b.l,
-            "k": report.family_b.k,
-            "permutation": list(report.family_b.permutation),
-            "indices": list(report.family_b.indices),
-        }
-    )
+    out["family_a"] = None if report.family_a is None else _family_a_payload(report.family_a)
+    out["family_b"] = None if report.family_b is None else _family_b_payload(report.family_b)
     out["verdict"] = verdict_payload(report.verdict, explain)
     return out
 
@@ -220,19 +228,19 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
 # box scan
 
 
-def _record_payload(p: WpsTriple, limit: int | None, explain: bool) -> dict:
-    verdict = wps.degeneration_verdict(p, limit)
+def _record_payload(p: WpsTriple, explain: bool) -> dict:
+    verdict = wps.degeneration_verdict(p)
     return {
         "triple": list(p.weights),
         "verdict": verdict.outcome.value,
         "reasons": [reason_payload(r, explain) for r in verdict.reasons],
-        **frac_fields("mld", wps.wps_mld(p, limit)),
+        **frac_fields("mld", wps.wps_mld(p)),
         **frac_fields("k2", wps.k2(p)),
     }
 
 
-def _scan_slice(args: tuple[int, int, int, int | None, bool]) -> list[dict]:
-    N, lo, hi, limit, explain = args
+def _scan_slice(args: tuple[int, int, int, bool]) -> list[dict]:
+    N, lo, hi, explain = args
     records = []
     for a in range(lo, hi):
         for b in range(a, N + 1):
@@ -240,26 +248,26 @@ def _scan_slice(args: tuple[int, int, int, int | None, bool]) -> list[dict]:
                 continue
             for c in range(b, N + 1):
                 if gcd(a, c) == 1 and gcd(b, c) == 1:
-                    records.append(_record_payload(WpsTriple(a, b, c), limit, explain))
+                    records.append(_record_payload(WpsTriple(a, b, c), explain))
     return records
 
 
-def run_scan(
-    N: int, jobs: int = 1, limit: int | None = None, explain: bool = False
-) -> list[dict]:
+def run_scan(N: int, jobs: int = 1, explain: bool = False) -> list[dict]:
     """Classify every well-formed sorted triple a <= b <= c <= N.
 
     Records come back in lexicographic triple order whatever the worker
     count: the a-axis is split into per-value tasks and merged in order.
+    The pool never holds more workers than tasks or CPUs.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return _scan_slice((N, 1, N + 1, limit, explain))
-    tasks = [(N, a, a + 1, limit, explain) for a in range(1, N + 1)]
-    with get_context("fork").Pool(processes=jobs) as pool:
+    tasks = [(N, a, a + 1, explain) for a in range(1, N + 1)]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
+        return _scan_slice((N, 1, N + 1, explain))
+    with get_context("fork").Pool(processes=workers) as pool:
         chunks = pool.map(_scan_slice, tasks)
     return [rec for chunk in chunks for rec in chunk]
 
@@ -268,38 +276,30 @@ def record_envelope(record: dict) -> dict:
     return make_envelope("scan-record", {"triple": record["triple"]}, record, [])
 
 
-def _records_csv_lines(records: list[dict]) -> list[str]:
-    import csv
-    import io
-
+def _csv_lines(header: list[str], rows) -> list[str]:
+    """One CSV table as lines without their CRLF terminators."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["a", "b", "c", "verdict", "reasons", "mld", "k2"])
-    for rec in records:
-        writer.writerow(
-            [
-                *rec["triple"],
-                rec["verdict"],
-                ";".join(r["kind"] for r in rec["reasons"]),
-                rec["mld"],
-                rec["k2"],
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().splitlines()
 
 
-def _census_csv_lines(censuses: list[density.DensityCensus]) -> list[str]:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["N", "count_A", "count_B1", "count_B2", "count_B3", "count_S", "ratio"])
-    for c in censuses:
-        writer.writerow(
-            [c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S, frac_decimal(c.ratio)]
-        )
-    return buf.getvalue().splitlines()
+def _write_lines_atomic(path: str, lines: list[str]) -> None:
+    """Write `lines` to `path` through a temporary file in the same
+    directory and one rename, so a failed write leaves any previous file
+    at `path` untouched and no partial file behind."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -307,51 +307,22 @@ def _census_csv_lines(censuses: list[density.DensityCensus]) -> list[str]:
 
 
 def _cmd_cqs(args) -> tuple[dict, list[str]]:
-    germ = CqsGerm(args.m, args.w1, args.w2)
-    s = normalize(germ)
-    chain = cqs.hj_expand(s.m, s.q)
-    smooth = s.smooth
+    pt = wps.point_report(args.m, args.w1, args.w2, with_mld=False)
     payload: dict[str, Any] = {
-        "germ": {"m": germ.m, "w1": germ.w1, "w2": germ.w2},
-        "smooth": smooth,
-        "normalized": {"m": s.m, "q": s.q},
-        "chain": list(chain),
-        "dual_chain": list(chain[::-1]),
+        "germ": _germ_payload(pt.germ),
+        "smooth": pt.smooth,
+        **_classification_fields(pt),
     }
-    if smooth:
-        payload.update(
-            {
-                "t_data": None,
-                "wahl": False,
-                "mu": None,
-                "rigid": None,
-                "gorenstein_index": 1,
-                "baskets": [],
-            }
-        )
-    else:
-        t = cqs.classify_t(s)
-        rigid, k, r = cqs.is_qg_rigid(s)
-        payload.update(
-            {
-                "t_data": _t_payload(t),
-                "wahl": t is not None and t.is_wahl,
-                "mu": None if t is None else t.d - 1,
-                "rigid": {"rigid": rigid, "k": k, "r": r},
-                "gorenstein_index": cqs.gorenstein_index(s),
-                "baskets": _basket_payload(cqs.basket_membership(s)),
-            }
-        )
     if args.bound is not None:
         payload["mld_bound_T"] = args.bound
-        payload.update(frac_fields("mld_bound", cqs.mld_upper_bound(s, args.bound)))
+        payload.update(frac_fields("mld_bound", cqs.mld_upper_bound(pt.normalized, args.bound)))
     else:
-        payload.update(frac_fields("mld", cqs.mld_brute(germ, args.limit_mld)))
+        payload.update(frac_fields("mld", cqs.mld_brute(pt.germ)))
     return payload, []
 
 
 def _cmd_wps(args) -> tuple[dict, list[str]]:
-    report = wps.analyze(WpsTriple(args.a, args.b, args.c), args.limit_mld)
+    report = wps.analyze(WpsTriple(args.a, args.b, args.c))
     return wps_payload(report, args.explain), []
 
 
@@ -371,7 +342,7 @@ def _cmd_markov(args) -> tuple[dict, list[str]]:
                 "planes": [
                     {
                         "weights": list(p.weights),
-                        "wps": wps_payload(wps.analyze(p, args.limit_mld), args.explain),
+                        "wps": wps_payload(wps.analyze(p), args.explain),
                     }
                     for p in planes
                 ],
@@ -410,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         return _dispatch(args, out)
-    except MldLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
     except (NotASolution, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -422,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args, out) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.json and args.csv:
         raise ValueError("--json and --csv are mutually exclusive")
     if args.csv and args.command not in ("density", "scan"):
@@ -447,7 +417,14 @@ def _dispatch(args, out) -> int:
         censuses, warnings = _cmd_density(args)
         if args.csv:
             if not args.quiet:
-                for line in _census_csv_lines(censuses):
+                rows = (
+                    [
+                        *(c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S),
+                        frac_decimal(c.ratio),
+                    ]
+                    for c in censuses
+                )
+                for line in _csv_lines(CENSUS_CSV_HEADER, rows):
                     print(line, file=out)
             return EXIT_OK
         payload = {"censuses": [census_payload(c) for c in censuses]}
@@ -461,7 +438,7 @@ def _dispatch(args, out) -> int:
 
 
 def _run_scan_command(args, out) -> int:
-    records = run_scan(args.N, jobs=args.jobs, limit=args.limit_mld, explain=args.explain)
+    records = run_scan(args.N, jobs=args.jobs, explain=args.explain)
     cen = density.census(args.N, args.jobs)
     warnings = [
         f"bound check {b.name} failed at N={cen.N}: {b.lhs} vs {b.rhs}"
@@ -469,14 +446,22 @@ def _run_scan_command(args, out) -> int:
         if not b.holds
     ]
     if args.csv:
-        lines = _records_csv_lines(records)
+        rows = (
+            [
+                *rec["triple"],
+                rec["verdict"],
+                ";".join(r["kind"] for r in rec["reasons"]),
+                rec["mld"],
+                rec["k2"],
+            ]
+            for rec in records
+        )
+        lines = _csv_lines(RECORD_CSV_HEADER, rows)
     else:
         lines = [dumps_envelope(record_envelope(rec), compact=True) for rec in records]
 
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        _write_lines_atomic(args.out, lines)
     elif not args.quiet:
         for line in lines:
             print(line, file=out)
@@ -496,7 +481,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Flags are valid both before and after the subcommand; the suppressed
     # copies on subparsers avoid clobbering values parsed by the main parser.
     flag_default = argparse.SUPPRESS if suppress else False
-    value_default = argparse.SUPPRESS if suppress else None
     jobs_default = argparse.SUPPRESS if suppress else 1
     parser.add_argument(
         "--json", action="store_true", default=flag_default, help="JSON envelopes (default)"
@@ -506,13 +490,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--quiet", action="store_true", default=flag_default, help="suppress stdout payloads"
-    )
-    parser.add_argument(
-        "--limit-mld",
-        type=int,
-        default=value_default,
-        metavar="M",
-        help="brute-force mld order cap (default: DEGENSCOPE_MLD_LIMIT or 10^8)",
     )
     parser.add_argument(
         "--jobs", type=int, default=jobs_default, metavar="J", help="worker processes"

@@ -9,11 +9,10 @@ pattern membership, and minimal log discrepancies.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 __all__ = [
     "Fraction",
@@ -21,7 +20,6 @@ __all__ = [
     "NormalizedCqs",
     "TData",
     "BasketTag",
-    "MldLimitExceeded",
     "SMOOTH",
     "normalize",
     "hj_expand",
@@ -38,35 +36,9 @@ __all__ = [
     "gorenstein_index",
     "wahl",
     "same_singularity",
-    "DEFAULT_MLD_LIMIT",
 ]
 
-DEFAULT_MLD_LIMIT = 10**8
-
 SMOOTH_MLD = Fraction(2)  # minimal log discrepancy of a smooth surface point
-
-
-class MldLimitExceeded(Exception):
-    """Raised when a brute-force mld scan would exceed the order cap.
-
-    Callers that only need a threshold comparison should use
-    mld_less_than (certified witness scan) instead of raising the cap.
-    """
-
-    def __init__(self, m: int, limit: int):
-        super().__init__(
-            f"germ order {m} exceeds the brute-force mld cap {limit}; "
-            "use mld_less_than for certified threshold decisions"
-        )
-        self.m = m
-        self.limit = limit
-
-
-def _mld_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get("DEGENSCOPE_MLD_LIMIT")
-    return int(env) if env else DEFAULT_MLD_LIMIT
 
 
 @dataclass(frozen=True)
@@ -302,8 +274,12 @@ def basket_membership(s: NormalizedCqs) -> frozenset[BasketTag]:
 
 
 def _mld_scan(m: int, w1: int, w2: int) -> Fraction:
-    # min over 0 < t < m of {t*w1/m} + {t*w2/m}; additive residue stepping
-    # keeps the inner loop multiplication-free.
+    """Theta(m) reference: min over 0 < t < m of {t*w1/m} + {t*w2/m}.
+
+    The library reads the mld off the resolution chain instead; tests keep
+    this scan as the independent oracle for that walk.
+    """
+    # additive residue stepping keeps the inner loop multiplication-free.
     r1 = r2 = 0
     best = 2 * m
     for _ in range(m - 1):
@@ -321,36 +297,51 @@ def _mld_scan(m: int, w1: int, w2: int) -> Fraction:
     return Fraction(best, m)
 
 
-def mld_brute(germ: CqsGerm, limit: int | None = None) -> Fraction:
-    """Exact minimal log discrepancy by scanning all m-1 junior weights.
-
-    Theta(m) work, so orders above the cap (DEGENSCOPE_MLD_LIMIT or 10^8)
-    raise MldLimitExceeded; a smooth point has mld 2.
-    """
-    if germ.m == 1:
-        return SMOOTH_MLD
-    cap = _mld_limit(limit)
-    if germ.m > cap:
-        raise MldLimitExceeded(germ.m, cap)
-    return _mld_scan(germ.m, germ.w1, germ.w2)
-
-
 @lru_cache(maxsize=65536)
 def _mld_normalized(m: int, q: int) -> Fraction:
+    # The exceptional curves of the minimal resolution of 1/m(1,q) are the
+    # lattice points v_i = (u_i, r_i), i = 1..k, with r_0 = m, r_1 = q,
+    # u_0 = 0, u_1 = 1 and v_{i+1} = a_i*v_i - v_{i-1} for the chain
+    # [a_1,...,a_k]; v_i is the junior weight t = u_i, t*q == r_i (mod m),
+    # of log discrepancy (u_i + r_i)/m.  That discrepancy is linear on the
+    # cone, so its minimum over all junior weights sits at some v_i.  Along
+    # a run of 2's the v_i are in arithmetic progression, so the run's
+    # minimum is at one of its ends and the walk jumps straight to the far
+    # end: A_{m-1} = [2^(m-1)] takes one step and every chain O(log m).
+    # The walk stops on the ray v_{k+1} = (m, 0), worth m >= u_1 + r_1.
     if m == 1:
         return SMOOTH_MLD
-    return _mld_scan(m, 1, q)
+    u0, r0, u1, r1 = 0, m, 1, q
+    best = u1 + r1
+    while r1:
+        du, dr = u1 - u0, r0 - r1
+        twos = r1 // dr  # a_i = 2 exactly while r_i >= r_{i-1} - r_i
+        if twos:
+            u1, r1 = u1 + twos * du, r1 - twos * dr
+            u0, r0 = u1 - du, r1 + dr
+        else:
+            a = -(-r0 // r1)
+            u0, r0, u1, r1 = u1, r1, a * u1 - u0, a * r1 - r0
+        best = min(best, u1 + r1)
+    return Fraction(best, m)
 
 
-def mld_normalized(s: NormalizedCqs, limit: int | None = None) -> Fraction:
-    """mld of a normal form, cached: the substitution t -> w1^-1 * t shows
-    1/m(w1,w2) and 1/m(1,q) have the same junior-weight minimum."""
-    if s.smooth:
-        return SMOOTH_MLD
-    cap = _mld_limit(limit)
-    if s.m > cap:
-        raise MldLimitExceeded(s.m, cap)
+def mld_normalized(s: NormalizedCqs) -> Fraction:
+    """Exact minimal log discrepancy of 1/m(1,q), read off the resolution
+    chain in O(log m) steps and cached; a smooth point has mld 2."""
     return _mld_normalized(s.m, s.q)
+
+
+def mld_brute(germ: CqsGerm) -> Fraction:
+    """Exact minimal log discrepancy of 1/m(w1,w2).
+
+    The substitution t -> w1^-1 * t shows 1/m(w1,w2) and its normal form
+    1/m(1,q) have the same junior-weight minimum, so this is
+    mld_normalized(normalize(germ)).  The name is kept for its callers,
+    the `cqs` command and the benchmark's trace; the brute-force scan over
+    all m-1 junior weights is `_mld_scan`, the tests' oracle.
+    """
+    return mld_normalized(normalize(germ))
 
 
 def mld_upper_bound(s: NormalizedCqs, T: int) -> Fraction:
@@ -362,47 +353,16 @@ def mld_upper_bound(s: NormalizedCqs, T: int) -> Fraction:
     germs whose junior weights all sit just under the next integer (Du Val
     chains and their [3,2^k]-like relatives) escape the one-sided bound.
     For Wahl germs it always holds: mld = 1/n <= 2/n <= 1/T + T/n^2.
-    Certified threshold decisions go through mld_less_than.
+    Exact threshold decisions go through mld_less_than.
     """
     if not (1 <= T < s.m):
         raise ValueError(f"need 1 <= T < m, got T={T}, m={s.m}")
     return Fraction(1, T) + Fraction(T, s.m)
 
 
-def mld_less_than(s: NormalizedCqs, threshold: Fraction, limit: int | None = None) -> bool:
-    """Exact decision mld(s) < threshold.
-
-    Sound fast path: any single junior weight t with
-    {t/m} + {t*q/m} < threshold certifies the inequality, so a scan of
-    t <= sqrt(m)+13 settles most small-mld germs in O(sqrt(m)) - for a
-    Wahl germ 1/n^2(1,na-1) the witness t = a^-1 mod n sits below
-    sqrt(m).  Only germs with no small witness pay for the full scan,
-    which respects the brute-force cap and stops at the first witness.
-    """
-    if s.smooth:
-        return SMOOTH_MLD < threshold
-    m, q = s.m, s.q
-    num, den = threshold.numerator, threshold.denominator
-    if num <= 0:
-        return False
-    probe = min(m - 1, isqrt(m) + 13)
-    r = 0
-    for t in range(1, probe + 1):
-        r += q
-        if r >= m:
-            r -= m
-        if (t + r) * den < num * m:
-            return True
-    cap = _mld_limit(limit)
-    if m > cap:
-        raise MldLimitExceeded(m, cap)
-    for t in range(probe + 1, m):
-        r += q
-        if r >= m:
-            r -= m
-        if (t + r) * den < num * m:
-            return True
-    return False
+def mld_less_than(s: NormalizedCqs, threshold: Fraction) -> bool:
+    """Exact decision mld(s) < threshold."""
+    return mld_normalized(s) < threshold
 
 
 def wahl(n: int, a: int) -> NormalizedCqs:

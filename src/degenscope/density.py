@@ -13,6 +13,7 @@ materializing A.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -115,9 +116,9 @@ def _family_a_slice(args: tuple[int, int, int]) -> tuple[int, int, int]:
 def _family_a_counts(N: int, jobs: int = 1) -> tuple[int, int, int]:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    jobs = min(jobs, N, os.cpu_count() or 1)
     if jobs <= 1 or N < 16:
         return _family_a_slice((N, 1, N + 1))
-    jobs = min(jobs, N)
     cuts = [1 + (N * i) // jobs for i in range(jobs + 1)]
     cuts[-1] = N + 1
     args = [(N, cuts[i], cuts[i + 1]) for i in range(jobs)]

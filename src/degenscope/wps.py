@@ -204,7 +204,8 @@ def _point_core(m: int, q: int):
     )
 
 
-def _point_report(weight: int, other1: int, other2: int, with_mld: bool, limit: int | None) -> PointReport:
+def point_report(weight: int, other1: int, other2: int, with_mld: bool) -> PointReport:
+    """Classify the germ 1/weight(other1, other2); weight 1 reports smooth."""
     germ = CqsGerm(weight, other1, other2)
     if weight == 1:
         return PointReport(
@@ -235,25 +236,25 @@ def _point_report(weight: int, other1: int, other2: int, with_mld: bool, limit: 
         rigid_r=r,
         gorenstein_index=gindex,
         baskets=tags,
-        mld=cqs.mld_normalized(s, limit) if with_mld else None,
+        mld=cqs.mld_normalized(s) if with_mld else None,
     )
 
 
 def singular_points(
-    p: WpsTriple, with_mld: bool = True, limit: int | None = None
+    p: WpsTriple, with_mld: bool = True
 ) -> tuple[PointReport, PointReport, PointReport]:
     """The three torus-fixed points 1/a(b,c), 1/b(a,c), 1/c(a,b), classified.
 
-    Weight-1 points report smooth.  `with_mld=False` skips the brute-force
-    mld scan when only the germ types are needed.
+    Weight-1 points report smooth.  `with_mld=False` leaves the mld out
+    when only the germ types are needed.
     """
     if not p.well_formed:
         raise ValueError(f"P{p.weights} is not well-formed (weights not pairwise coprime)")
     a, b, c = p.weights
     return (
-        _point_report(a, b, c, with_mld, limit),
-        _point_report(b, a, c, with_mld, limit),
-        _point_report(c, a, b, with_mld, limit),
+        point_report(a, b, c, with_mld),
+        point_report(b, a, c, with_mld),
+        point_report(c, a, b, with_mld),
     )
 
 
@@ -276,24 +277,16 @@ def noether_check(p: WpsTriple) -> tuple[Fraction, bool] | None:
     return (total, total == 12)
 
 
-def wps_mld(p: WpsTriple, limit: int | None = None) -> Fraction:
+def wps_mld(p: WpsTriple) -> Fraction:
     """Exact minimal log discrepancy: min over the three fixed points."""
-    return min(
-        cqs.mld_normalized(pt.normalized, limit)
-        for pt in singular_points(p, with_mld=False)
-    )
+    return min(cqs.mld_normalized(pt.normalized) for pt in singular_points(p, with_mld=False))
 
 
-def wps_mld_below(p: WpsTriple, threshold: Fraction = ONE_SIXTH, limit: int | None = None) -> bool:
-    """Exact decision mld(P(a,b,c)) < threshold.
-
-    The plane's mld is the minimum over its fixed points, so the decision
-    is true as soon as one point is certified below the threshold by a
-    small junior-weight witness; only points without one pay for a scan.
-    """
+def wps_mld_below(p: WpsTriple, threshold: Fraction = ONE_SIXTH) -> bool:
+    """Exact decision mld(P(a,b,c)) < threshold: the plane's mld is the
+    minimum over its fixed points, so one point below the threshold decides."""
     return any(
-        cqs.mld_less_than(pt.normalized, threshold, limit)
-        for pt in singular_points(p, with_mld=False)
+        cqs.mld_less_than(pt.normalized, threshold) for pt in singular_points(p, with_mld=False)
     )
 
 
@@ -370,7 +363,7 @@ def complement_hypotheses(
     )
 
 
-def degeneration_verdict(p: WpsTriple, limit: int | None = None) -> Verdict:
+def degeneration_verdict(p: WpsTriple) -> Verdict:
     """Decide whether P(a,b,c) admits no non-trivial Q-Gorenstein klt
     degenerations.
 
@@ -390,9 +383,9 @@ def degeneration_verdict(p: WpsTriple, limit: int | None = None) -> Verdict:
     wb = family_B_member(p)
     if wb is not None:
         reasons.append(Reason(kind="in_family_b", family_b=wb))
-    below = wps_mld_below(p, ONE_SIXTH, limit)
+    below = wps_mld_below(p, ONE_SIXTH)
     if not below:
-        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(p, limit)))
+        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(p)))
 
     points = singular_points(p, with_mld=False)
     hyp = complement_hypotheses(points, below)
@@ -400,9 +393,9 @@ def degeneration_verdict(p: WpsTriple, limit: int | None = None) -> Verdict:
     return Verdict(outcome, tuple(reasons), hyp)
 
 
-def analyze(p: WpsTriple, limit: int | None = None) -> WpsReport:
+def analyze(p: WpsTriple) -> WpsReport:
     """Full report: invariants, point classifications, families, verdict."""
-    verdict = degeneration_verdict(p, limit)
+    verdict = degeneration_verdict(p)
     if not p.well_formed:
         return WpsReport(
             triple=p,
@@ -419,8 +412,8 @@ def analyze(p: WpsTriple, limit: int | None = None) -> WpsReport:
         triple=p,
         well_formed=True,
         k2=k2(p),
-        points=singular_points(p, with_mld=True, limit=limit),
-        mld=wps_mld(p, limit),
+        points=singular_points(p, with_mld=True),
+        mld=wps_mld(p),
         noether=noether_check(p),
         family_a=family_A_member(p),
         family_b=family_B_member(p),

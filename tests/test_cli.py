@@ -1,15 +1,15 @@
+import errno
 import json
 import subprocess
 import sys
 
 import pytest
 
-from degenscope import cli
+from degenscope import cli, density
 from degenscope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_IO_FAILURE,
     EXIT_OK,
-    EXIT_RESOURCE_LIMIT,
     dumps_envelope,
     frac_decimal,
     frac_str,
@@ -77,13 +77,23 @@ class TestCqsCommand:
         assert code == EXIT_INVALID_INPUT and "unit" in err
 
     def test_limit_exceeded_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "--limit-mld", "100", "cqs", "101", "1", "7")
-        assert code == EXIT_RESOURCE_LIMIT and "cap" in err
+        # there is no mld cap and no exit code 3 any more: argparse rejects
+        # the removed --limit-mld flag, and the Wahl germ n = 10007 (order
+        # above the former 10^8 cap) gets its exact mld
+        with pytest.raises(SystemExit) as exc:
+            main(["--limit-mld", "100", "cqs", "101", "1", "7"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        r = run_json(capsys, "cqs", "100140049", "1", "50065020")["result"]
+        assert r["mld"] == "1/10007"
+        assert r["t_data"] == {"d": 1, "n": 10007, "a": 5003} and r["wahl"]
 
     def test_bound_avoids_limit(self, capsys):
-        code, out, _ = run_cli(capsys, "--limit-mld", "100", "cqs", "101", "1", "7", "--bound", "10")
+        # --bound reports the pigeonhole quantity instead of the exact mld
+        code, out, _ = run_cli(capsys, "cqs", "100140049", "1", "50065020", "--bound", "10")
         assert code == EXIT_OK
-        assert json.loads(out)["result"]["mld_bound_T"] == 10
+        r = json.loads(out)["result"]
+        assert r["mld_bound_T"] == 10 and r["mld_bound"] == "100140149/1001400490"
+        assert "mld" not in r
 
 
 class TestWpsCommand:
@@ -99,6 +109,12 @@ class TestWpsCommand:
         kinds = [x["kind"] for x in r["verdict"]["reasons"]]
         assert kinds == ["in_family_a", "in_family_b", "mld_at_least_one_sixth"]
         assert r["verdict"]["reasons"][1]["family"] == "B1"
+
+    def test_markov_square_above_former_cap(self, capsys):
+        # the square of the Markov triple (5, 2897, 43261)
+        r = run_json(capsys, "wps", "25", "8392609", "1871514121")["result"]
+        assert r["mld"] == "1/43261"
+        assert r["verdict"]["outcome"] == "NoNontrivialDegenerations"
 
     def test_not_well_formed(self, capsys):
         r = run_json(capsys, "wps", "2", "4", "5")["result"]
@@ -128,6 +144,13 @@ class TestMarkovCommand:
         r = run_json(capsys, "markov", "degenerations", "--n", "4", "--bound", "50")["result"]
         assert [p["weights"] for p in r["planes"]] == [[1, 1, 4], [1, 25, 4], [25, 841, 4]]
         assert all(p["wps"]["well_formed"] for p in r["planes"])
+
+    def test_degenerations_above_former_cap(self, capsys):
+        r = run_json(capsys, "markov", "degenerations", "--n", "3", "--bound", "20000")["result"]
+        last = r["planes"][-1]
+        assert last["weights"] == [4363921, 100180081, 3]
+        assert last["wps"]["mld"] == "1/10009"
+        assert last["wps"]["verdict"]["outcome"] == "NoNontrivialDegenerations"
 
     def test_candidates(self, capsys):
         r = run_json(capsys, "markov", "candidates", "--n", "3", "--x", "4", "--y", "19")["result"]
@@ -193,6 +216,90 @@ class TestScanCommand:
     def test_unwritable_out_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "scan", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == EXIT_IO_FAILURE
+
+    def test_failed_write_keeps_previous_out(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "records.jsonl"
+        target.write_text("previous run\n")
+        real_open = open
+
+        def full_disk_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+
+            def write(_):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        code, _, err = run_cli(capsys, "scan", "5", "--out", str(target))
+        assert code == EXIT_IO_FAILURE and "No space left" in err
+        assert target.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+        monkeypatch.undo()
+        code, _, _ = run_cli(capsys, "scan", "5", "--out", str(target))
+        assert code == EXIT_OK
+        assert json.loads(target.read_text().splitlines()[0])["command"] == "scan-record"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records each pool size and
+    runs the pool's map in this process."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--jobs", "0", "density", "20"),
+            ("--jobs", "0", "scan", "5"),
+            ("--jobs", "-1", "cqs", "9", "1", "2"),
+            ("wps", "4", "25", "841", "--jobs", "0"),
+            ("markov", "gen", "--n", "3", "--bound", "10", "--jobs", "0"),
+        ],
+    )
+    def test_jobs_below_one_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID_INPUT and out == "" and "--jobs" in err
+
+    def test_scan_pool_clamped(self, monkeypatch):
+        ctx = _RecordingContext()
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        serial = run_scan(6, jobs=1)
+        assert run_scan(6, jobs=10**6) == serial  # clamped to the 3 CPUs
+        assert run_scan(2, jobs=10**6) == run_scan(2, jobs=1)  # clamped to the 2 tasks
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run_scan(6, jobs=8) == serial  # unknown CPU count: serial
+        assert ctx.pool_sizes == [3, 2]
+
+    def test_density_pool_clamped(self, monkeypatch):
+        ctx = _RecordingContext()
+        monkeypatch.setattr(density, "get_context", lambda method: ctx)
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 3)
+        serial = density.count_family_A(20, jobs=1)
+        assert density.count_family_A(20, jobs=10**6) == serial
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 1)
+        assert density.count_family_A(20, jobs=4) == serial
+        assert ctx.pool_sizes == [3]
 
 
 class TestFlagPlacement:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from degenscope import cqs
 from degenscope.cqs import (
     CqsGerm,
-    MldLimitExceeded,
     NormalizedCqs,
     SMOOTH,
     basket_membership,
@@ -20,6 +20,7 @@ from degenscope.cqs import (
     milnor_mu,
     mld_brute,
     mld_less_than,
+    mld_normalized,
     mld_upper_bound,
     normalize,
     reverse_type,
@@ -252,14 +253,46 @@ class TestMld:
         assert mld_brute(CqsGerm(17, 3, 11)) == mld_brute(CqsGerm(17, 11, 3))
 
     def test_limit_exceeded(self):
-        with pytest.raises(MldLimitExceeded):
-            mld_brute(CqsGerm(101, 1, 7), limit=100)
+        # orders above the former 10^8 brute-force cap get their exact mld:
+        # the Wahl germ n = 10007 has order 100,140,049 and mld 1/n
+        s = wahl(10007, 5003)
+        assert (s.m, s.q) == (100140049, 50065020)
+        assert mld_brute(CqsGerm(s.m, 1, s.q)) == Fraction(1, 10007)
+        assert mld_brute(CqsGerm(s.m, 3, 3 * s.q)) == Fraction(1, 10007)
 
     def test_limit_env_override(self, monkeypatch):
+        # the DEGENSCOPE_MLD_LIMIT variable no longer exists: setting it
+        # below the order changes nothing
         monkeypatch.setenv("DEGENSCOPE_MLD_LIMIT", "90")
-        with pytest.raises(MldLimitExceeded):
-            mld_brute(CqsGerm(91, 1, 3))
-        assert mld_brute(CqsGerm(89, 1, 3)) == cqs.mld_normalized(NormalizedCqs(89, 3), limit=200)
+        assert mld_brute(CqsGerm(91, 1, 3)) == cqs._mld_scan(91, 1, 3)
+        assert mld_brute(CqsGerm(89, 1, 3)) == mld_normalized(NormalizedCqs(89, 3))
+
+    def test_chain_walk_matches_scan(self):
+        # the O(log m) chain walk against the Theta(m) junior-weight scan on
+        # every coprime (m,q) with m <= 300, and the threshold decision with it
+        thresholds = [Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]
+        for m, q in coprime_pairs(300):
+            s = NormalizedCqs(m, q)
+            v = cqs._mld_scan(m, 1, q)
+            assert mld_normalized(s) == v, (m, q)
+            for thr in thresholds:
+                assert mld_less_than(s, thr) == (v < thr)
+
+    @given(st.integers(301, 20000), st.integers(1, 10**9))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_chain_walk_matches_scan_larger_orders(self, m, qseed):
+        q = 1 + qseed % (m - 1)
+        if gcd(m, q) != 1:
+            q = 1
+        assert mld_normalized(NormalizedCqs(m, q)) == cqs._mld_scan(m, 1, q)
+
+    def test_du_val_at_order_10_12(self):
+        # A_{m-1} = [2^(m-1)] is one run of 2's, so the walk takes one step
+        # where the scan would take m; 10 ms is over 100x the walk's cost
+        cqs._mld_normalized.cache_clear()
+        start = time.perf_counter()
+        assert mld_normalized(NormalizedCqs(10**12, 10**12 - 1)) == 1
+        assert time.perf_counter() - start < 0.01
 
     def test_wahl_mld_law_small(self):
         for n in range(2, 16):
@@ -314,19 +347,25 @@ class TestMld:
         thresholds = [Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]
         for m, q in coprime_pairs(60):
             s = NormalizedCqs(m, q)
-            v = mld_brute(CqsGerm(m, 1, q))
+            v = cqs._mld_scan(m, 1, q)
             for thr in thresholds:
                 assert mld_less_than(s, thr) == (v < thr)
         assert mld_less_than(SMOOTH, Fraction(3)) and not mld_less_than(SMOOTH, Fraction(2))
 
     def test_witness_scan_avoids_cap_on_wahl(self):
-        # huge Wahl germ, tiny cap: the sqrt-size witness certifies without
-        # a full scan, so no limit error
-        assert mld_less_than(wahl(1009, 1), Fraction(1, 6), limit=10)
+        # the decision compares the exact mld, so Wahl germs of any order,
+        # here up to about 10^12, are decided without a scan or a cap
+        assert mld_less_than(wahl(1009, 1), Fraction(1, 6))
+        assert mld_normalized(wahl(1009, 1)) == Fraction(1, 1009)
+        assert mld_less_than(wahl(10**6 + 3, 1), Fraction(1, 6))
+        assert not mld_less_than(wahl(10**6 + 3, 1), Fraction(1, 10**6 + 3))
 
     def test_capped_when_no_small_witness(self):
-        with pytest.raises(MldLimitExceeded):
-            mld_less_than(NormalizedCqs(5001, 5000), Fraction(1, 6), limit=100)
+        # Du Val germs have no junior weight below 1 (mld 1); they used to
+        # need a full scan, and now get the exact answer at any order
+        assert not mld_less_than(NormalizedCqs(5001, 5000), Fraction(1, 6))
+        assert not mld_less_than(NormalizedCqs(10**12, 10**12 - 1), Fraction(1))
+        assert mld_less_than(NormalizedCqs(10**12, 10**12 - 1), Fraction(10**12 + 1, 10**12))
 
 
 class TestGorensteinIndex:
