@@ -119,15 +119,13 @@ def _germ_payload(germ: cqs.CqsGerm) -> dict[str, int]:
 
 
 def point_payload(pt: wps.PointReport) -> dict:
-    out: dict[str, Any] = {
+    return {
         "weight": pt.weight,
         "smooth": pt.smooth,
         "germ": _germ_payload(pt.germ),
         **_classification_fields(pt),
+        **frac_fields("mld", pt.mld),
     }
-    if pt.mld is not None:
-        out.update(frac_fields("mld", pt.mld))
-    return out
 
 
 def _family_a_payload(w: wps.FamilyAWitness) -> dict[str, Any]:
@@ -234,7 +232,7 @@ def _record_payload(p: WpsTriple, explain: bool) -> dict:
         "triple": list(p.weights),
         "verdict": verdict.outcome.value,
         "reasons": [reason_payload(r, explain) for r in verdict.reasons],
-        **frac_fields("mld", wps.wps_mld(p)),
+        **frac_fields("mld", wps.wps_mld(verdict.points)),
         **frac_fields("k2", wps.k2(p)),
     }
 
@@ -307,7 +305,7 @@ def _write_lines_atomic(path: str, lines: list[str]) -> None:
 
 
 def _cmd_cqs(args) -> tuple[dict, list[str]]:
-    pt = wps.point_report(args.m, args.w1, args.w2, with_mld=False)
+    pt = wps.point_report(args.m, args.w1, args.w2)
     payload: dict[str, Any] = {
         "germ": _germ_payload(pt.germ),
         "smooth": pt.smooth,

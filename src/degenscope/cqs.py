@@ -252,9 +252,11 @@ def _match_prefix(chain: tuple[int, ...], prefix: tuple[int, ...]) -> int | None
     return len(tail)
 
 
-@lru_cache(maxsize=None)
-def _basket_tags(m: int, q: int) -> frozenset[BasketTag]:
-    chain = hj_expand(m, q)
+def basket_membership(s: NormalizedCqs) -> frozenset[BasketTag]:
+    """All basket patterns matched by the germ's chain, up to reversal."""
+    if s.m < 2:
+        raise ValueError("basket membership needs a singular germ (m >= 2)")
+    chain = hj_expand(s.m, s.q)
     tags = set()
     for c in {chain, chain[::-1]}:
         for family, pattern, prefix in _BASKET_PREFIXES:
@@ -264,13 +266,6 @@ def _basket_tags(m: int, q: int) -> frozenset[BasketTag]:
         if len(c) == 3 and c[0] == 2 and c[2] == 2:
             tags.add(BasketTag("D", "[2,n,2]", c[1]))
     return frozenset(tags)
-
-
-def basket_membership(s: NormalizedCqs) -> frozenset[BasketTag]:
-    """All basket patterns matched by the germ's chain, up to reversal."""
-    if s.m < 2:
-        raise ValueError("basket membership needs a singular germ (m >= 2)")
-    return _basket_tags(s.m, s.q)
 
 
 def _mld_scan(m: int, w1: int, w2: int) -> Fraction:

@@ -83,48 +83,43 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return ((r1 + m1 * t) % lcm, lcm)
 
 
-def _divisor_table(limit: int) -> list[list[int]]:
-    divs: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for multiple in range(d, limit + 1, d):
-            divs[multiple].append(d)
-    return divs
-
-
-def _family_a_slice(args: tuple[int, int, int]) -> tuple[int, int, int]:
+def _family_a_slice(args: tuple[int, int, int]) -> tuple[int, int]:
     """Partial inclusion-exclusion sums over a in [lo, hi).
 
-    Returns (single, pair, triple): ordered counts with the divisibility
-    condition imposed at the first role, the first two roles, and all
-    three roles respectively.
+    Returns (single, pair): ordered counts with the divisibility condition
+    imposed at the first role and at the first two roles.
     """
     N, lo, hi = args
-    divs = _divisor_table(2 * N)
-    single = pair = triple = 0
+    single = pair = 0
     for a in range(lo, hi):
         counts = [_residue_count(N, a, r) for r in range(a)]
         single += sum(counts[r] * counts[(a - r) % a] for r in range(a))
         for b in range(1, N + 1):
             c0, lcm = _crt((-b) % a, a, (-a) % b, b)
             pair += _residue_count(N, lcm, c0)
-            for d in divs[a + b]:
-                if d <= N and d % lcm == c0:
-                    triple += 1
-    return (single, pair, triple)
+    return (single, pair)
 
 
 def _family_a_counts(N: int, jobs: int = 1) -> tuple[int, int, int]:
+    """(single, pair, triple): ordered counts with the divisibility
+    condition imposed at one, two and all three roles.
+
+    All three roles: sorted x <= y <= z with z | x+y forces x+y = z or
+    x = y = z, and then y | x+z forces y = 2x or y = x, so the triple is a
+    multiple of (1,1,1), (1,1,2) or (1,2,3), with 1, 3 and 6 orderings.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    triple = N + 3 * (N // 2) + 6 * (N // 3)
     jobs = min(jobs, N, os.cpu_count() or 1)
     if jobs <= 1 or N < 16:
-        return _family_a_slice((N, 1, N + 1))
+        return (*_family_a_slice((N, 1, N + 1)), triple)
     cuts = [1 + (N * i) // jobs for i in range(jobs + 1)]
     cuts[-1] = N + 1
     args = [(N, cuts[i], cuts[i + 1]) for i in range(jobs)]
     with get_context("fork").Pool(processes=jobs) as pool:
         parts = pool.map(_family_a_slice, args)
-    return tuple(sum(p[i] for p in parts) for i in range(3))  # type: ignore[return-value]
+    return (sum(p[0] for p in parts), sum(p[1] for p in parts), triple)
 
 
 def count_family_A(N: int, jobs: int = 1) -> int:

@@ -54,9 +54,6 @@ class WpsTriple:
         a, b, c = self.weights
         return gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1
 
-    def sorted_weights(self) -> tuple[int, int, int]:
-        return tuple(sorted(self.weights))
-
 
 @dataclass(frozen=True)
 class PointReport:
@@ -73,7 +70,7 @@ class PointReport:
     rigid_r: int | None
     gorenstein_index: int
     baskets: frozenset[BasketTag]
-    mld: Fraction | None
+    mld: Fraction
 
     @property
     def smooth(self) -> bool:
@@ -166,9 +163,13 @@ class ComplementHypotheses:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The decision, with the classified fixed points it was made from
+    (None when the plane is not well-formed)."""
+
     outcome: Outcome
     reasons: tuple[Reason, ...]
     hypotheses: ComplementHypotheses | None
+    points: tuple[PointReport, PointReport, PointReport] | None
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def _point_core(m: int, q: int):
     )
 
 
-def point_report(weight: int, other1: int, other2: int, with_mld: bool) -> PointReport:
+def point_report(weight: int, other1: int, other2: int) -> PointReport:
     """Classify the germ 1/weight(other1, other2); weight 1 reports smooth."""
     germ = CqsGerm(weight, other1, other2)
     if weight == 1:
@@ -220,7 +221,7 @@ def point_report(weight: int, other1: int, other2: int, with_mld: bool) -> Point
             rigid_r=None,
             gorenstein_index=1,
             baskets=frozenset(),
-            mld=cqs.SMOOTH_MLD if with_mld else None,
+            mld=cqs.SMOOTH_MLD,
         )
     s = normalize(germ)
     chain, t, mu, rigid, k, r, gindex, tags = _point_core(s.m, s.q)
@@ -236,26 +237,19 @@ def point_report(weight: int, other1: int, other2: int, with_mld: bool) -> Point
         rigid_r=r,
         gorenstein_index=gindex,
         baskets=tags,
-        mld=cqs.mld_normalized(s) if with_mld else None,
+        mld=cqs.mld_normalized(s),
     )
 
 
-def singular_points(
-    p: WpsTriple, with_mld: bool = True
-) -> tuple[PointReport, PointReport, PointReport]:
+def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport]:
     """The three torus-fixed points 1/a(b,c), 1/b(a,c), 1/c(a,b), classified.
 
-    Weight-1 points report smooth.  `with_mld=False` leaves the mld out
-    when only the germ types are needed.
+    Weight-1 points report smooth.
     """
     if not p.well_formed:
         raise ValueError(f"P{p.weights} is not well-formed (weights not pairwise coprime)")
     a, b, c = p.weights
-    return (
-        point_report(a, b, c, with_mld),
-        point_report(b, a, c, with_mld),
-        point_report(c, a, b, with_mld),
-    )
+    return (point_report(a, b, c), point_report(b, a, c), point_report(c, a, b))
 
 
 def k2(p: WpsTriple) -> Fraction:
@@ -264,11 +258,14 @@ def k2(p: WpsTriple) -> Fraction:
     return Fraction((a + b + c) ** 2, a * b * c)
 
 
-def noether_check(p: WpsTriple) -> tuple[Fraction, bool] | None:
-    """K^2 + 3 + sum(mu) and whether it equals 12; None when some singular
-    point admits no Q-Gorenstein smoothing (mu undefined)."""
+def noether_check(
+    p: WpsTriple, points: tuple[PointReport, ...]
+) -> tuple[Fraction, bool] | None:
+    """K^2 + 3 + sum(mu) over the plane's classified fixed points and whether
+    it equals 12; None when some singular point admits no Q-Gorenstein
+    smoothing (mu undefined)."""
     total = k2(p) + 3
-    for pt in singular_points(p, with_mld=False):
+    for pt in points:
         if pt.smooth:
             continue
         if pt.mu is None:
@@ -277,17 +274,17 @@ def noether_check(p: WpsTriple) -> tuple[Fraction, bool] | None:
     return (total, total == 12)
 
 
-def wps_mld(p: WpsTriple) -> Fraction:
-    """Exact minimal log discrepancy: min over the three fixed points."""
-    return min(cqs.mld_normalized(pt.normalized) for pt in singular_points(p, with_mld=False))
+def wps_mld(points: tuple[PointReport, ...]) -> Fraction:
+    """Exact minimal log discrepancy of a plane: min over its classified
+    fixed points."""
+    return min(pt.mld for pt in points)
 
 
-def wps_mld_below(p: WpsTriple, threshold: Fraction = ONE_SIXTH) -> bool:
-    """Exact decision mld(P(a,b,c)) < threshold: the plane's mld is the
-    minimum over its fixed points, so one point below the threshold decides."""
-    return any(
-        cqs.mld_less_than(pt.normalized, threshold) for pt in singular_points(p, with_mld=False)
-    )
+def wps_mld_below(points: tuple[PointReport, ...], threshold: Fraction = ONE_SIXTH) -> bool:
+    """Exact decision mld(P(a,b,c)) < threshold from the plane's classified
+    fixed points: the plane's mld is their minimum, so one point below the
+    threshold decides."""
+    return any(cqs.mld_less_than(pt.normalized, threshold) for pt in points)
 
 
 def family_A_member(p: WpsTriple) -> FamilyAWitness | None:
@@ -372,10 +369,14 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     the hypothesis block but never gates the verdict: the exceptional
     families already absorb those cases, and Markov-square planes carry a
     basket germ yet admit no non-trivial degenerations.
+
+    This is the one classification pass per plane: the three fixed points
+    are classified once and returned in `Verdict.points`.
     """
     if not p.well_formed:
-        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None)
+        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None)
 
+    points = singular_points(p)
     reasons: list[Reason] = []
     wa = family_A_member(p)
     if wa is not None:
@@ -383,38 +384,26 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     wb = family_B_member(p)
     if wb is not None:
         reasons.append(Reason(kind="in_family_b", family_b=wb))
-    below = wps_mld_below(p, ONE_SIXTH)
+    below = wps_mld_below(points, ONE_SIXTH)
     if not below:
-        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(p)))
+        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(points)))
 
-    points = singular_points(p, with_mld=False)
     hyp = complement_hypotheses(points, below)
     outcome = Outcome.NO_NONTRIVIAL_DEGENERATIONS if not reasons else Outcome.OUT_OF_SCOPE
-    return Verdict(outcome, tuple(reasons), hyp)
+    return Verdict(outcome, tuple(reasons), hyp, points)
 
 
 def analyze(p: WpsTriple) -> WpsReport:
     """Full report: invariants, point classifications, families, verdict."""
     verdict = degeneration_verdict(p)
-    if not p.well_formed:
-        return WpsReport(
-            triple=p,
-            well_formed=False,
-            k2=k2(p),
-            points=None,
-            mld=None,
-            noether=None,
-            family_a=family_A_member(p),
-            family_b=family_B_member(p),
-            verdict=verdict,
-        )
+    points = verdict.points
     return WpsReport(
         triple=p,
-        well_formed=True,
+        well_formed=p.well_formed,
         k2=k2(p),
-        points=singular_points(p, with_mld=True),
-        mld=wps_mld(p),
-        noether=noether_check(p),
+        points=points,
+        mld=None if points is None else wps_mld(points),
+        noether=None if points is None else noether_check(p, points),
         family_a=family_A_member(p),
         family_b=family_B_member(p),
         verdict=verdict,

@@ -203,7 +203,8 @@ def test_criterion_06_noether_formula():
             for c in range(b, 61):
                 if gcd(a, c) != 1 or gcd(b, c) != 1:
                     continue
-                res = wps.noether_check(WpsTriple(a, b, c))
+                p = WpsTriple(a, b, c)
+                res = wps.noether_check(p, wps.singular_points(p))
                 if res is None:
                     continue
                 checked += 1
@@ -245,7 +246,7 @@ def test_criterion_08_p11n_census():
                 ok = False
             if wps.k2(plane) != Fraction((n + 2) ** 2, n):
                 ok = False
-            pts = wps.singular_points(plane, with_mld=False)
+            pts = wps.singular_points(plane)
             if not same_singularity(pts[2].normalized, NormalizedCqs(n, 1)):
                 ok = False
             for pt, u, v in ((pts[0], sol.x, sol.y), (pts[1], sol.y, sol.x)):

@@ -1,9 +1,15 @@
+import contextlib
 import errno
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenscope import cli, density
 from degenscope.cli import (
@@ -343,3 +349,70 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == EXIT_INVALID_INPUT
+
+
+# Small and edge integers: orders up to 10^4 for germs, planes and Markov
+# bounds, box sizes up to 30 for density and scan, --jobs up to 2.
+EDGE = st.sampled_from([0, -1, -7, 1, 2, 3])
+ORDER, BOX, JOBS = 10**4, 30, 2
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    # One argv in three takes edge values throughout (zero, negatives, a bad
+    # --jobs, format flags a command rejects); the rest keep to valid ranges
+    # so most commands get past argument checking and do their work.
+    edge = draw(st.integers(0, 2)) == 2
+
+    def num(hi):
+        if edge:
+            return str(draw(EDGE | st.integers(-3, hi)))
+        return str(draw(st.integers(1, min(hi, 40)) | st.integers(1, hi)))
+
+    command = draw(st.sampled_from(["cqs", "wps", "markov", "density", "scan"]))
+    if command == "cqs":
+        args = ["cqs", num(ORDER), num(ORDER), num(ORDER)]
+        if draw(st.booleans()):
+            args += ["--bound", num(ORDER)]
+    elif command == "wps":
+        args = ["wps", num(ORDER), num(ORDER), num(ORDER)]
+    elif command == "markov":
+        sub = draw(st.sampled_from(["classic", "gen", "degenerations", "candidates"]))
+        names = {"classic": ["--bound"], "gen": ["--n", "--bound"],
+                 "degenerations": ["--n", "--bound"], "candidates": ["--n", "--x", "--y"]}[sub]  # fmt: skip
+        args = ["markov", sub]
+        for name in names:
+            args += [name, num(ORDER)]
+    elif command == "density":
+        args = ["density", *(num(BOX) for _ in range(draw(st.integers(1, 3))))]
+    else:
+        args = ["scan", num(BOX)]
+        out = draw(st.sampled_from([None, "records.out", os.path.join("missing", "records.out")]))
+        if out is not None:
+            args += ["--out", os.path.join(out_dir, out)]
+    if edge:
+        formats = ["--json", "--csv"]
+    else:
+        formats = ["--csv"] if command in ("density", "scan") else ["--json"]
+    flags = [f for f in (*formats, "--quiet", "--explain") if draw(st.booleans())]
+    flags += ["--jobs", num(JOBS)]
+    return flags + args if draw(st.booleans()) else args + flags
+
+
+class TestFuzz:
+    def test_cli_never_raises(self):
+        with tempfile.TemporaryDirectory() as out_dir:
+
+            @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+            @given(cli_argv(out_dir))
+            def check(argv):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the argv
+                        code = exc.code
+                assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_IO_FAILURE), (argv, code)
+                assert "Traceback" not in stderr.getvalue()
+
+            check()

@@ -42,6 +42,19 @@ class TestFamilyA:
     def test_jobs_do_not_change_counts(self):
         assert count_family_A(120, jobs=3) == count_family_A(120, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_triple_role_closed_form_matches_cubic_count(self, jobs):
+        # direct count of ordered triples meeting all three divisibilities,
+        # tallied by largest entry so one pass over [1,40]^3 serves every N
+        by_max = [0] * 41
+        for a in range(1, 41):
+            for b in range(1, 41):
+                for c in range(1, 41):
+                    if (b + c) % a == 0 and (a + c) % b == 0 and (a + b) % c == 0:
+                        by_max[max(a, b, c)] += 1
+        for N in range(1, 41):
+            assert density._family_a_counts(N, jobs)[2] == sum(by_max[: N + 1])
+
 
 class TestFamilyB:
     def test_pinned_counts(self):

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from degenscope import markov, wps
+from degenscope import cli, markov, wps
 from degenscope.cqs import NormalizedCqs, same_singularity, wahl
 from degenscope.wps import (
     Outcome,
@@ -87,16 +87,19 @@ class TestNoether:
         [((1, 2, 3), 12), ((1, 4, 25), 12)],
     )
     def test_holds(self, weights, lhs):
-        res = noether_check(WpsTriple(*weights))
+        p = WpsTriple(*weights)
+        res = noether_check(p, singular_points(p))
         assert res is not None
         assert res == (Fraction(lhs), True)
 
     def test_absent_for_non_t_point(self):
         # 1/7(1,5) has chain [2,2,3], not of the dn^2 shape
-        assert noether_check(WpsTriple(1, 5, 7)) is None
+        p = WpsTriple(1, 5, 7)
+        assert noether_check(p, singular_points(p)) is None
 
     def test_smooth_plane(self):
-        assert noether_check(WpsTriple(1, 1, 1)) == (Fraction(12), True)
+        p = WpsTriple(1, 1, 1)
+        assert noether_check(p, singular_points(p)) == (Fraction(12), True)
 
 
 class TestWpsMld:
@@ -109,7 +112,7 @@ class TestWpsMld:
         ],
     )
     def test_examples(self, weights, expected):
-        assert wps_mld(WpsTriple(*weights)) == expected
+        assert wps_mld(singular_points(WpsTriple(*weights))) == expected
 
     def test_below_matches_exact(self):
         rng = random.Random(7)
@@ -117,9 +120,10 @@ class TestWpsMld:
             t = WpsTriple(rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40))
             if not t.well_formed:
                 continue
-            v = wps_mld(t)
+            pts = singular_points(t)
+            v = wps_mld(pts)
             for thr in (Fraction(1, 6), Fraction(1, 2), Fraction(1)):
-                assert wps_mld_below(t, thr) == (v < thr)
+                assert wps_mld_below(pts, thr) == (v < thr)
 
 
 class TestFamilyA:
@@ -241,7 +245,7 @@ class TestGenSolutionCrossChecks:
             for sol in markov.gen_solutions(n, 10**4):
                 if sol.x == 1:
                     continue
-                pts = singular_points(WpsTriple(sol.x**2, sol.y**2, n), with_mld=False)
+                pts = singular_points(WpsTriple(sol.x**2, sol.y**2, n))
                 assert same_singularity(pts[2].normalized, NormalizedCqs(n, 1))
                 for pt, u, v in ((pts[0], sol.x, sol.y), (pts[1], sol.y, sol.x)):
                     w = (n + 2) * pow(v % u, -1, u) % u
@@ -258,7 +262,8 @@ class TestNoetherSweep:
                 for c in range(b, 26):
                     if gcd(a, c) != 1 or gcd(b, c) != 1:
                         continue
-                    res = noether_check(WpsTriple(a, b, c))
+                    p = WpsTriple(a, b, c)
+                    res = noether_check(p, singular_points(p))
                     if res is not None:
                         found += 1
                         assert res == (Fraction(12), True)
@@ -275,3 +280,36 @@ class TestAnalyze:
     def test_report_not_well_formed(self):
         rep = analyze(WpsTriple(2, 4, 5))
         assert not rep.well_formed and rep.points is None and rep.mld is None
+
+
+class TestOnePass:
+    """The verdict classifies the three fixed points and checks each family
+    once per plane; the scan and the full report reuse that pass."""
+
+    COUNTED = ("singular_points", "family_A_member", "family_B_member")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+
+            def counted(*args, _fn=getattr(wps, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(wps, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("weights", [(4, 25, 841), (1, 5, 8), (1, 1, 1), (2, 3, 7)])
+    def test_verdict(self, calls, weights):
+        degeneration_verdict(WpsTriple(*weights))
+        assert calls == dict.fromkeys(self.COUNTED, 1)
+
+    def test_scan(self, calls):
+        records = cli.run_scan(12)
+        assert calls == dict.fromkeys(self.COUNTED, len(records))
+
+    def test_analyze(self, calls):
+        rep = analyze(WpsTriple(4, 25, 841))
+        assert calls["singular_points"] == 1
+        assert rep.points is rep.verdict.points
