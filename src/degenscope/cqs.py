@@ -252,11 +252,11 @@ def _match_prefix(chain: tuple[int, ...], prefix: tuple[int, ...]) -> int | None
     return len(tail)
 
 
-def basket_membership(s: NormalizedCqs) -> frozenset[BasketTag]:
-    """All basket patterns matched by the germ's chain, up to reversal."""
-    if s.m < 2:
-        raise ValueError("basket membership needs a singular germ (m >= 2)")
-    chain = hj_expand(s.m, s.q)
+def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
+    """All basket patterns matched by a germ's Hirzebruch-Jung chain
+    (`hj_expand(m, q)`), up to reversal."""
+    if not chain:
+        raise ValueError("basket membership needs a singular germ (non-empty chain)")
     tags = set()
     for c in {chain, chain[::-1]}:
         for family, pattern, prefix in _BASKET_PREFIXES:

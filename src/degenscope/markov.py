@@ -87,9 +87,7 @@ def classic_markov_enumerate(bound: int) -> list[MarkovTriple]:
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    seen: set[tuple[int, int, int]] = set()
-    if bound >= 1:
-        seen.add((1, 1, 1))
+    seen: set[tuple[int, int, int]] = {(1, 1, 1)}
     frontier = list(seen)
     while frontier:
         nxt = []

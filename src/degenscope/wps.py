@@ -30,8 +30,6 @@ ONE_SIXTH = Fraction(1, 6)
 
 _INDEX_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 
-B_FAMILIES = ("B1", "B2", "B3")
-
 
 @dataclass(frozen=True)
 class WpsTriple:
@@ -104,31 +102,38 @@ class FamilyBWitness:
         return family_b_instance(self.family, self.n, self.l, self.k)
 
 
+# The exceptional families B1 < B2 < B3: the triples (1 + l*e, base + k*e, e)
+# for n >= 2 and 0 <= l, k < ceil(num*e/den), where e = s*n - o and
+# base = h*n - t.  Rows are (s, o, h, t, num, den); B1's bound is n - 1 = e/4.
+_B_TABLE = {
+    "B1": (4, 4, 2, 1, 1, 4),
+    "B2": (6, 5, 3, 1, 4, 9),
+    "B3": (6, 7, 3, 2, 4, 9),
+}
+
+B_FAMILIES = tuple(_B_TABLE)
+
+
+def _b_at(family: str, n: int) -> tuple[int, int, int]:
+    """(e, base, exclusive l/k bound) of the family at n."""
+    if family not in _B_TABLE:
+        raise ValueError(f"unknown family {family!r}")
+    s, o, h, t, num, den = _B_TABLE[family]
+    e = s * n - o
+    return e, h * n - t, -(-num * e // den)
+
+
 def family_b_instance(family: str, n: int, l: int, k: int) -> tuple[int, int, int]:
     """The parameterized triple of family B1/B2/B3 at (n, l, k)."""
     if n < 2 or l < 0 or k < 0:
         raise ValueError(f"need n >= 2 and l,k >= 0, got (n,l,k)=({n},{l},{k})")
-    if family == "B1":
-        e = 4 * (n - 1)
-        return (1 + l * e, 2 * n - 1 + k * e, e)
-    if family == "B2":
-        e = 6 * n - 5
-        return (1 + l * e, 3 * n - 1 + k * e, e)
-    if family == "B3":
-        e = 6 * n - 7
-        return (1 + l * e, 3 * n - 2 + k * e, e)
-    raise ValueError(f"unknown family {family!r}")
+    e, base, _ = _b_at(family, n)
+    return (1 + l * e, base + k * e, e)
 
 
 def family_b_lk_bound(family: str, n: int) -> int:
     """Exclusive upper bound for l and k in the given family at n."""
-    if family == "B1":
-        return n - 1
-    if family == "B2":
-        return (4 * (6 * n - 5) + 8) // 9  # ceil(4(6n-5)/9)
-    if family == "B3":
-        return (4 * (6 * n - 7) + 8) // 9
-    raise ValueError(f"unknown family {family!r}")
+    return _b_at(family, n)[2]
 
 
 class Outcome(Enum):
@@ -164,12 +169,15 @@ class ComplementHypotheses:
 @dataclass(frozen=True)
 class Verdict:
     """The decision, with the classified fixed points it was made from
-    (None when the plane is not well-formed)."""
+    (None when the plane is not well-formed) and the family witnesses,
+    which are found for every plane."""
 
     outcome: Outcome
     reasons: tuple[Reason, ...]
     hypotheses: ComplementHypotheses | None
     points: tuple[PointReport, PointReport, PointReport] | None
+    family_a: FamilyAWitness | None
+    family_b: FamilyBWitness | None
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,7 @@ def _point_core(m: int, q: int):
         k,
         r,
         cqs.gorenstein_index(s),
-        cqs.basket_membership(s),
+        cqs.basket_membership(chain),
     )
 
 
@@ -301,49 +309,32 @@ def family_A_member(p: WpsTriple) -> FamilyAWitness | None:
     return None
 
 
-def _solve_b(family: str, ap: int, bp: int, cp: int) -> tuple[int, int, int] | None:
-    # Invert the third coordinate for n, then solve l and k exactly.
-    if family == "B1":
-        if cp < 4 or cp % 4:
-            return None
-        n = cp // 4 + 1
-        base_b = 2 * n - 1
-    elif family == "B2":
-        if (cp + 5) % 6:
-            return None
-        n = (cp + 5) // 6
-        if n < 2:
-            return None
-        base_b = 3 * n - 1
-    else:
-        if (cp + 7) % 6:
-            return None
-        n = (cp + 7) // 6
-        if n < 2:
-            return None
-        base_b = 3 * n - 2
-    bound = family_b_lk_bound(family, n)
-    l, rem = divmod(ap - 1, cp)
-    if rem or not 0 <= l < bound:
-        return None
-    k, rem = divmod(bp - base_b, cp)
-    if rem or not 0 <= k < bound:
-        return None
-    return (n, l, k)
-
-
 def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     """Match against the exceptional families B1 < B2 < B3, first hit wins;
-    permutations are tried in lexicographic index order."""
+    permutations are tried in lexicographic index order.
+
+    Each family solves n once per weight, for that weight as e; a
+    permutation then needs l = (a'-1)/e and k = (b'-base)/e exactly,
+    both inside the family's bound."""
     w = p.weights
-    for family in B_FAMILIES:
+    for family, (s, o, _, _, _, _) in _B_TABLE.items():
+        ns = []
+        for e in w:
+            n, rem = divmod(e + o, s)
+            ns.append(0 if rem or n < 2 else n)
+        if not any(ns):
+            continue
         for idx in _INDEX_PERMUTATIONS:
-            ap, bp, cp = w[idx[0]], w[idx[1]], w[idx[2]]
-            solved = _solve_b(family, ap, bp, cp)
-            if solved is not None:
-                n, l, k = solved
+            n = ns[idx[2]]
+            if not n:
+                continue
+            e, base, bound = _b_at(family, n)
+            ap, bp = w[idx[0]], w[idx[1]]
+            l, rem_l = divmod(ap - 1, e)
+            k, rem_k = divmod(bp - base, e)
+            if rem_l == rem_k == 0 and 0 <= l < bound and 0 <= k < bound:
                 return FamilyBWitness(
-                    family=family, n=n, l=l, k=k, permutation=(ap, bp, cp), indices=idx
+                    family=family, n=n, l=l, k=k, permutation=(ap, bp, e), indices=idx
                 )
     return None
 
@@ -370,18 +361,20 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     families already absorb those cases, and Markov-square planes carry a
     basket germ yet admit no non-trivial degenerations.
 
-    This is the one classification pass per plane: the three fixed points
-    are classified once and returned in `Verdict.points`.
+    This is the one classification pass per plane: families A and B are
+    checked once, even for a plane that is not well-formed (whose only
+    reason stays `not_well_formed`), and the three fixed points are
+    classified once; all of it is returned in the verdict.
     """
+    wa = family_A_member(p)
+    wb = family_B_member(p)
     if not p.well_formed:
-        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None)
+        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None, wa, wb)
 
     points = singular_points(p)
     reasons: list[Reason] = []
-    wa = family_A_member(p)
     if wa is not None:
         reasons.append(Reason(kind="in_family_a", family_a=wa))
-    wb = family_B_member(p)
     if wb is not None:
         reasons.append(Reason(kind="in_family_b", family_b=wb))
     below = wps_mld_below(points, ONE_SIXTH)
@@ -390,7 +383,7 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
 
     hyp = complement_hypotheses(points, below)
     outcome = Outcome.NO_NONTRIVIAL_DEGENERATIONS if not reasons else Outcome.OUT_OF_SCOPE
-    return Verdict(outcome, tuple(reasons), hyp, points)
+    return Verdict(outcome, tuple(reasons), hyp, points, wa, wb)
 
 
 def analyze(p: WpsTriple) -> WpsReport:
@@ -404,7 +397,7 @@ def analyze(p: WpsTriple) -> WpsReport:
         points=points,
         mld=None if points is None else wps_mld(points),
         noether=None if points is None else noether_check(p, points),
-        family_a=family_A_member(p),
-        family_b=family_B_member(p),
+        family_a=verdict.family_a,
+        family_b=verdict.family_b,
         verdict=verdict,
     )

@@ -117,7 +117,7 @@ def test_criterion_03_rigidity_table():
     ok = True
     for m, q in coprime_pairs(300):
         s = NormalizedCqs(m, q)
-        tags = basket_membership(s)
+        tags = basket_membership(hj_expand(m, q))
         if not any(t.family.startswith("F") for t in tags):
             continue  # the rigidity statement concerns the F families only
         chain = hj_expand(m, q)

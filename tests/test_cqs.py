@@ -196,18 +196,18 @@ class TestRigidity:
 
 class TestBaskets:
     def test_examples(self):
-        tags = basket_membership(NormalizedCqs(9, 2))
+        tags = basket_membership(hj_expand(9, 2))
         assert {(t.family, t.pattern, t.param) for t in tags} == {("F3", "[5,2^k]", 1)}
 
-        tags = basket_membership(NormalizedCqs(12, 7))
+        tags = basket_membership(hj_expand(12, 7))
         assert {(t.family, t.pattern, t.param) for t in tags} == {
             ("F4", "[2,4,2^k]", 1),
             ("D", "[2,n,2]", 4),
         }
 
-        assert basket_membership(NormalizedCqs(2, 1)) == frozenset()
+        assert basket_membership(hj_expand(2, 1)) == frozenset()
 
-        tags = basket_membership(NormalizedCqs(8, 5))
+        tags = basket_membership(hj_expand(8, 5))
         assert {(t.family, t.pattern, t.param) for t in tags} == {
             ("F2", "[2,3,2^k]", 1),
             ("D", "[2,n,2]", 3),
@@ -215,9 +215,9 @@ class TestBaskets:
 
     def test_reversal_gives_same_tags(self):
         # [2,3] and its reversal [3,2] carry both the F2 and F1 tags
-        tags = {(t.family, t.param) for t in basket_membership(NormalizedCqs(5, 3))}
+        tags = {(t.family, t.param) for t in basket_membership(hj_expand(5, 3))}
         assert tags == {("F2", 0), ("F1", 1)}
-        assert basket_membership(NormalizedCqs(5, 2)) == basket_membership(NormalizedCqs(5, 3))
+        assert basket_membership(hj_expand(5, 2)) == basket_membership(hj_expand(5, 3))
 
 
 class TestReverseInvariance:
@@ -230,7 +230,7 @@ class TestReverseInvariance:
             if t_s is not None:
                 assert (t_s.d, t_s.n) == (t_r.d, t_r.n)
             assert is_qg_rigid(s) == is_qg_rigid(r)
-            assert basket_membership(s) == basket_membership(r)
+            assert basket_membership(hj_expand(m, q)) == basket_membership(hj_expand(r.m, r.q))
             assert gorenstein_index(s) == gorenstein_index(r)
             assert mld_brute(CqsGerm(m, 1, q)) == mld_brute(CqsGerm(m, 1, r.q))
 

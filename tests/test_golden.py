@@ -38,6 +38,9 @@ CASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("wps_4_25_841", ("wps", "4", "25", "841")),
     ("wps_explain_1_5_8", ("--explain", "wps", "1", "5", "8")),
     ("wps_2_4_5", ("wps", "2", "4", "5")),
+    ("wps_2_4_6", ("wps", "2", "4", "6")),
+    ("wps_1_5_7", ("wps", "1", "5", "7")),
+    ("wps_1_4_5", ("wps", "1", "4", "5")),
     ("markov_classic_1000", ("markov", "classic", "--bound", "1000")),
     ("markov_gen_3_100", ("markov", "gen", "--n", "3", "--bound", "100")),
     ("markov_degenerations_4_50", ("markov", "degenerations", "--n", "4", "--bound", "50")),

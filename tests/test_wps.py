@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
 
-from degenscope import cli, markov, wps
+from degenscope import cli, cqs, density, markov, wps
 from degenscope.cqs import NormalizedCqs, same_singularity, wahl
 from degenscope.wps import (
     Outcome,
@@ -181,6 +181,22 @@ class TestFamilyB:
             assert tuple(t.weights[i] for i in w.indices) == w.permutation
         assert hits > 0
 
+    def test_exhaustive_against_enumeration(self):
+        # The solver against the forward enumeration of every family: a
+        # triple in [1,40]^3 matches exactly when some permutation of it is
+        # a parameter instance, and every witness rebuilds its permutation.
+        N = 40
+        members = set().union(*(density.family_b_ordered(fam, N) for fam in wps.B_FAMILIES))
+        hits = 0
+        for t in product(range(1, N + 1), repeat=3):
+            w = family_B_member(WpsTriple(*t))
+            assert (w is not None) == (t in members), t
+            if w is not None:
+                hits += 1
+                assert w.instantiate() == w.permutation
+                assert tuple(t[i] for i in w.indices) == w.permutation
+        assert hits == len(members)
+
     def test_bounds_respected(self):
         # (1,13,8) would need k=1 in family B1 at n=3, within bounds;
         # (17,13,8) needs l=2 >= n-1, so it must not match B1 via that slot
@@ -313,3 +329,25 @@ class TestOnePass:
         rep = analyze(WpsTriple(4, 25, 841))
         assert calls["singular_points"] == 1
         assert rep.points is rep.verdict.points
+        assert calls["family_A_member"] == 1
+        assert calls["family_B_member"] == 1
+
+    def test_analyze_not_well_formed_keeps_family_a(self, calls):
+        rep = analyze(WpsTriple(2, 4, 6))
+        assert calls == {"singular_points": 0, "family_A_member": 1, "family_B_member": 1}
+        assert rep.family_a is not None
+        assert (rep.family_a.permutation, rep.family_a.indices) == ((2, 4, 6), (0, 1, 2))
+        assert [r.kind for r in rep.verdict.reasons] == ["not_well_formed"]
+
+    def test_new_germ_expands_its_chain_once(self, monkeypatch):
+        expanded = []
+
+        def counted(m, q, _fn=cqs.hj_expand):
+            expanded.append((m, q))
+            return _fn(m, q)
+
+        monkeypatch.setattr(cqs, "hj_expand", counted)
+        wps._point_core.cache_clear()
+        pt = wps.point_report(12, 1, 7)
+        assert expanded == [(12, 7)]
+        assert pt.baskets == cqs.basket_membership(pt.chain)
