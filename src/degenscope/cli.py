@@ -10,14 +10,15 @@ never appear in payloads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from fractions import Fraction
 from math import gcd
-from multiprocessing import get_context
 from typing import Any
 
 from . import cqs, density, markov, wps
@@ -237,63 +238,70 @@ def _record_payload(p: WpsTriple, explain: bool) -> dict:
     }
 
 
-def _scan_slice(args: tuple[int, int, int, bool]) -> list[dict]:
-    N, lo, hi, explain = args
-    records = []
-    for a in range(lo, hi):
-        for b in range(a, N + 1):
-            if gcd(a, b) != 1:
-                continue
-            for c in range(b, N + 1):
-                if gcd(a, c) == 1 and gcd(b, c) == 1:
-                    records.append(_record_payload(WpsTriple(a, b, c), explain))
-    return records
+def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
+    """The finished output lines, compact JSON envelopes or CSV rows, of the
+    well-formed triples a <= b <= c <= N for one value of a."""
+    N, a, explain, csv_format = args
+    lines = []
+    for b in range(a, N + 1):
+        if gcd(a, b) != 1:
+            continue
+        for c in range(b, N + 1):
+            if gcd(a, c) == 1 and gcd(b, c) == 1:
+                rec = _record_payload(WpsTriple(a, b, c), explain)
+                if csv_format:
+                    kinds = ";".join(r["kind"] for r in rec["reasons"])
+                    lines.append(_csv_line([a, b, c, rec["verdict"], kinds, rec["mld"], rec["k2"]]))
+                else:
+                    lines.append(dumps_envelope(record_envelope(rec), compact=True))
+    return lines
 
 
-def run_scan(N: int, jobs: int = 1, explain: bool = False) -> list[dict]:
-    """Classify every well-formed sorted triple a <= b <= c <= N.
+def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bool = False) -> int:
+    """Classify every well-formed sorted triple a <= b <= c <= N, hand each
+    output line to `write` and return the record count.
 
-    Records come back in lexicographic triple order whatever the worker
-    count: the a-axis is split into per-value tasks and merged in order.
-    The pool never holds more workers than tasks or CPUs.
+    There is one task per value of a; its lines reach `write` in triple
+    order, whatever the worker count, as soon as the task is back.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(N, a, a + 1, explain) for a in range(1, N + 1)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        return _scan_slice((N, 1, N + 1, explain))
-    with get_context("fork").Pool(processes=workers) as pool:
-        chunks = pool.map(_scan_slice, tasks)
-    return [rec for chunk in chunks for rec in chunk]
+    if csv_format:
+        write(_csv_line(RECORD_CSV_HEADER))
+    count = 0
+    tasks = [(N, a, explain, csv_format) for a in range(1, N + 1)]
+    with density.fan_out(_scan_slice, tasks, jobs) as chunks:
+        for lines in chunks:
+            for line in lines:
+                write(line)
+            count += len(lines)
+    return count
 
 
 def record_envelope(record: dict) -> dict:
     return make_envelope("scan-record", {"triple": record["triple"]}, record, [])
 
 
-def _csv_lines(header: list[str], rows) -> list[str]:
-    """One CSV table as lines without their CRLF terminators."""
+def _csv_line(row) -> str:
+    """One CSV row without its CRLF terminator."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().splitlines()
+    csv.writer(buf, lineterminator="").writerow(row)
+    return buf.getvalue()
 
 
-def _write_lines_atomic(path: str, lines: list[str]) -> None:
-    """Write `lines` to `path` through a temporary file in the same
-    directory and one rename, so a failed write leaves any previous file
-    at `path` untouched and no partial file behind."""
+@contextlib.contextmanager
+def _atomic_line_writer(path: str):
+    """Yield a line writer into a temporary file in the directory of `path`
+    and rename it to `path` on success, so a failed run leaves any previous
+    file at `path` untouched and no partial file behind."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            for line in lines:
-                fh.write(line + "\n")
+            yield lambda line: fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -415,15 +423,10 @@ def _dispatch(args, out) -> int:
         censuses, warnings = _cmd_density(args)
         if args.csv:
             if not args.quiet:
-                rows = (
-                    [
-                        *(c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S),
-                        frac_decimal(c.ratio),
-                    ]
-                    for c in censuses
-                )
-                for line in _csv_lines(CENSUS_CSV_HEADER, rows):
-                    print(line, file=out)
+                print(_csv_line(CENSUS_CSV_HEADER), file=out)
+                for c in censuses:
+                    row = [c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S]
+                    print(_csv_line([*row, frac_decimal(c.ratio)]), file=out)
             return EXIT_OK
         payload = {"censuses": [census_payload(c) for c in censuses]}
     else:
@@ -436,38 +439,21 @@ def _dispatch(args, out) -> int:
 
 
 def _run_scan_command(args, out) -> int:
-    records = run_scan(args.N, jobs=args.jobs, explain=args.explain)
+    # The census validates N, so invalid input exits 2 before --out is opened.
     cen = density.census(args.N, args.jobs)
+    write = (lambda line: None) if args.quiet else functools.partial(print, file=out)
+    writer = contextlib.nullcontext(write) if args.out is None else _atomic_line_writer(args.out)
+    with writer as write:
+        count = run_scan(args.N, write, args.jobs, args.explain, args.csv)
     warnings = [
         f"bound check {b.name} failed at N={cen.N}: {b.lhs} vs {b.rhs}"
         for b in cen.bound_checks
         if not b.holds
     ]
-    if args.csv:
-        rows = (
-            [
-                *rec["triple"],
-                rec["verdict"],
-                ";".join(r["kind"] for r in rec["reasons"]),
-                rec["mld"],
-                rec["k2"],
-            ]
-            for rec in records
-        )
-        lines = _csv_lines(RECORD_CSV_HEADER, rows)
-    else:
-        lines = [dumps_envelope(record_envelope(rec), compact=True) for rec in records]
-
-    if args.out is not None:
-        _write_lines_atomic(args.out, lines)
-    elif not args.quiet:
-        for line in lines:
-            print(line, file=out)
-
     summary = make_envelope(
         "scan",
         {"N": args.N, "jobs": args.jobs, "out": args.out},
-        {"well_formed_records": len(records), "census": census_payload(cen)},
+        {"well_formed_records": count, "census": census_payload(cen)},
         warnings,
     )
     if not args.quiet:

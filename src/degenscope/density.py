@@ -9,11 +9,15 @@ inclusion-exclusion over the three role choices; the B families are
 enumerated outright (they only hold O(N^{3/2}) triples), and the union
 count tests their members against the A condition directly instead of
 materializing A.
+
+`fan_out` is the package's one worker-pool policy: the family-A census
+and the CLI's box scan hand it one task per value of a.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -31,6 +35,7 @@ __all__ = [
     "family_b_param_instances",
     "family_b_ordered",
     "census",
+    "fan_out",
 ]
 
 
@@ -83,20 +88,30 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return ((r1 + m1 * t) % lcm, lcm)
 
 
-def _family_a_slice(args: tuple[int, int, int]) -> tuple[int, int]:
-    """Partial inclusion-exclusion sums over a in [lo, hi).
+@contextmanager
+def fan_out(fn, tasks: list, jobs: int):
+    """Yield fn(task) for each task, lazily and in task order: in this process
+    when w = min(jobs, tasks, CPUs) <= 1, else through the ordered `imap` of
+    a fork pool of w workers, torn down on every exit path."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        yield map(fn, tasks)
+        return
+    with get_context("fork").Pool(processes=workers) as pool:
+        yield pool.imap(fn, tasks)
 
-    Returns (single, pair): ordered counts with the divisibility condition
-    imposed at the first role and at the first two roles.
-    """
-    N, lo, hi = args
-    single = pair = 0
-    for a in range(lo, hi):
-        counts = [_residue_count(N, a, r) for r in range(a)]
-        single += sum(counts[r] * counts[(a - r) % a] for r in range(a))
-        for b in range(1, N + 1):
-            c0, lcm = _crt((-b) % a, a, (-a) % b, b)
-            pair += _residue_count(N, lcm, c0)
+
+def _family_a_slice(args: tuple[int, int]) -> tuple[int, int]:
+    """(single, pair) for one value a of the first role: ordered counts
+    with the divisibility condition imposed at the first role and at the
+    first two roles."""
+    N, a = args
+    counts = [_residue_count(N, a, r) for r in range(a)]
+    single = sum(counts[r] * counts[(a - r) % a] for r in range(a))
+    pair = 0
+    for b in range(1, N + 1):
+        c0, lcm = _crt((-b) % a, a, (-a) % b, b)
+        pair += _residue_count(N, lcm, c0)
     return (single, pair)
 
 
@@ -110,16 +125,12 @@ def _family_a_counts(N: int, jobs: int = 1) -> tuple[int, int, int]:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    triple = N + 3 * (N // 2) + 6 * (N // 3)
-    jobs = min(jobs, N, os.cpu_count() or 1)
-    if jobs <= 1 or N < 16:
-        return (*_family_a_slice((N, 1, N + 1)), triple)
-    cuts = [1 + (N * i) // jobs for i in range(jobs + 1)]
-    cuts[-1] = N + 1
-    args = [(N, cuts[i], cuts[i + 1]) for i in range(jobs)]
-    with get_context("fork").Pool(processes=jobs) as pool:
-        parts = pool.map(_family_a_slice, args)
-    return (sum(p[0] for p in parts), sum(p[1] for p in parts), triple)
+    single = pair = 0
+    with fan_out(_family_a_slice, [(N, a) for a in range(1, N + 1)], jobs) as parts:
+        for s, p in parts:
+            single += s
+            pair += p
+    return (single, pair, N + 3 * (N // 2) + 6 * (N // 3))
 
 
 def count_family_A(N: int, jobs: int = 1) -> int:

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -35,6 +36,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
     return json.loads(out)
+
+
+def scan_lines(N, **kwargs):
+    """The output lines `run_scan` writes, after checking its record count."""
+    lines = []
+    count = run_scan(N, lines.append, **kwargs)
+    header = 1 if kwargs.get("csv_format") else 0
+    assert count == len(lines) - header
+    return lines
 
 
 class TestFractions:
@@ -202,7 +212,9 @@ class TestScanCommand:
         assert summary["result"]["well_formed_records"] == 1
 
     def test_jobs_invariance_small(self):
-        assert run_scan(25, jobs=1) == run_scan(25, jobs=4)
+        for csv_format in (False, True):
+            serial = scan_lines(25, jobs=1, csv_format=csv_format)
+            assert scan_lines(25, jobs=4, csv_format=csv_format) == serial
 
     def test_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "records.jsonl"
@@ -222,6 +234,17 @@ class TestScanCommand:
     def test_unwritable_out_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "scan", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == EXIT_IO_FAILURE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("scan", "0"), ("--jobs", "0", "scan", "5"), ("--json", "--csv", "scan", "5")],
+    )
+    def test_invalid_input_exits_2_before_out_is_opened(self, tmp_path, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--out", "/nonexistent-dir/x.jsonl")
+        assert code == EXIT_INVALID_INPUT and out == ""
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.jsonl"))
+        assert code == EXIT_INVALID_INPUT and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_out(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "records.jsonl"
@@ -252,23 +275,27 @@ class TestScanCommand:
 
 class _RecordingContext:
     """Stands in for a multiprocessing context: records each pool size and
-    runs the pool's map in this process."""
+    how many pools are not yet exited, and runs the pool's imap lazily in
+    this process."""
 
     def __init__(self):
         self.pool_sizes = []
+        self.live = 0
 
     def Pool(self, processes):
         self.pool_sizes.append(processes)
+        self.live += 1
         return self
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.live -= 1
         return False
 
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    def imap(self, fn, tasks):
+        return (fn(t) for t in tasks)
 
 
 class TestJobs:
@@ -288,14 +315,14 @@ class TestJobs:
 
     def test_scan_pool_clamped(self, monkeypatch):
         ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        serial = run_scan(6, jobs=1)
-        assert run_scan(6, jobs=10**6) == serial  # clamped to the 3 CPUs
-        assert run_scan(2, jobs=10**6) == run_scan(2, jobs=1)  # clamped to the 2 tasks
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert run_scan(6, jobs=8) == serial  # unknown CPU count: serial
-        assert ctx.pool_sizes == [3, 2]
+        monkeypatch.setattr(density, "get_context", lambda method: ctx)
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 3)
+        serial = scan_lines(6, jobs=1)
+        assert scan_lines(6, jobs=10**6) == serial  # clamped to the 3 CPUs
+        assert scan_lines(2, jobs=10**6) == scan_lines(2, jobs=1)  # clamped to the 2 tasks
+        monkeypatch.setattr(density.os, "cpu_count", lambda: None)
+        assert scan_lines(6, jobs=8) == serial  # unknown CPU count: serial
+        assert ctx.pool_sizes == [3, 2] and ctx.live == 0
 
     def test_density_pool_clamped(self, monkeypatch):
         ctx = _RecordingContext()
@@ -305,7 +332,49 @@ class TestJobs:
         assert density.count_family_A(20, jobs=10**6) == serial
         monkeypatch.setattr(density.os, "cpu_count", lambda: 1)
         assert density.count_family_A(20, jobs=4) == serial
-        assert ctx.pool_sizes == [3]
+        assert ctx.pool_sizes == [3] and ctx.live == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, jobs):
+        ctx = _RecordingContext()
+        monkeypatch.setattr(density, "get_context", lambda method: ctx)
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+        events = []
+
+        def spied(args, _fn=cli._scan_slice):
+            events.append(("task", args[1]))
+            return _fn(args)
+
+        monkeypatch.setattr(cli, "_scan_slice", spied)
+        run_scan(6, lambda line: events.append(("line", json.loads(line)["input"]["triple"][0])), jobs=jobs)
+        assert events.index(("line", 1)) < events.index(("task", 2))
+        assert [e for e in events if e[0] == "task"] == [("task", a) for a in range(1, 7)]
+        assert ctx.pool_sizes == ([2] if jobs == 2 else [])
+
+    def test_failing_write_exits_the_pool(self, monkeypatch):
+        ctx = _RecordingContext()
+        monkeypatch.setattr(density, "get_context", lambda method: ctx)
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+        written = []
+
+        def write(line):
+            a = json.loads(line)["input"]["triple"][0]
+            if a == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(a)
+
+        with pytest.raises(OSError):
+            run_scan(8, write, jobs=2)
+        assert written and set(written) == {1}
+        assert ctx.pool_sizes == [2] and ctx.live == 0
+
+    def test_failing_write_leaves_no_worker_behind(self):
+        def write(line):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(OSError):
+            run_scan(8, write, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestFlagPlacement:

@@ -49,6 +49,10 @@ CASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("density_csv_50_100_200", ("--csv", "density", "50", "100", "200")),
     ("density_jobs2_50_100_200", ("--jobs", "2", "density", "50", "100", "200")),
     ("scan_12", ("scan", "12")),
+    ("scan_12_jobs2", ("--jobs", "2", "scan", "12")),
+    ("scan_12_csv", ("--csv", "scan", "12")),
+    ("scan_12_csv_jobs2", ("--csv", "--jobs", "2", "scan", "12")),
+    ("scan_12_quiet", ("--quiet", "scan", "12")),
     ("scan_12_out_jobs1", ("--jobs", "1", "scan", "12", "--out", OUT)),
     ("scan_12_out_jobs2", ("--jobs", "2", "scan", "12", "--out", OUT)),
     ("scan_12_csv_out_jobs1", ("--csv", "--jobs", "1", "scan", "12", "--out", OUT)),

@@ -322,8 +322,10 @@ class TestOnePass:
         assert calls == dict.fromkeys(self.COUNTED, 1)
 
     def test_scan(self, calls):
-        records = cli.run_scan(12)
-        assert calls == dict.fromkeys(self.COUNTED, len(records))
+        lines = []
+        records = cli.run_scan(12, lines.append)
+        assert records == len(lines) > 0
+        assert calls == dict.fromkeys(self.COUNTED, records)
 
     def test_analyze(self, calls):
         rep = analyze(WpsTriple(4, 25, 841))
