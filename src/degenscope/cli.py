@@ -19,6 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from math import gcd
+from multiprocessing import get_context
 from typing import Any
 
 from . import cqs, density, markov, wps
@@ -257,6 +258,19 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
     return lines
 
 
+@contextlib.contextmanager
+def fan_out(fn, tasks: list, jobs: int):
+    """Yield fn(task) for each task, lazily and in task order: in this process
+    when w = min(jobs, tasks, CPUs) <= 1, else through the ordered `imap` of
+    a fork pool of w workers, torn down on every exit path."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        yield map(fn, tasks)
+        return
+    with get_context("fork").Pool(processes=workers) as pool:
+        yield pool.imap(fn, tasks)
+
+
 def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bool = False) -> int:
     """Classify every well-formed sorted triple a <= b <= c <= N, hand each
     output line to `write` and return the record count.
@@ -272,7 +286,7 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
         write(_csv_line(RECORD_CSV_HEADER))
     count = 0
     tasks = [(N, a, explain, csv_format) for a in range(1, N + 1)]
-    with density.fan_out(_scan_slice, tasks, jobs) as chunks:
+    with fan_out(_scan_slice, tasks, jobs) as chunks:
         for lines in chunks:
             for line in lines:
                 write(line)
@@ -369,16 +383,18 @@ def _cmd_markov(args) -> tuple[dict, list[str]]:
     raise ValueError(f"unknown markov subcommand {args.subcommand!r}")
 
 
-def _cmd_density(args) -> tuple[list[density.DensityCensus], list[str]]:
-    censuses = [density.census(N, args.jobs) for N in args.sizes]
-    warnings = [
-        f"bound check {b.name} failed at N={c.N}: {b.lhs} vs {b.rhs} "
-        "(ordered-vs-unordered permutation convention; reported, not rescaled)"
+def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
+    return [
+        f"bound check {b.name} failed at N={c.N}: {b.lhs} vs {b.rhs}"
         for c in censuses
         for b in c.bound_checks
         if not b.holds
     ]
-    return censuses, warnings
+
+
+def _cmd_density(args) -> tuple[list[density.DensityCensus], list[str]]:
+    censuses = [density.census(N) for N in args.sizes]
+    return censuses, _bound_check_warnings(censuses)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,21 +456,16 @@ def _dispatch(args, out) -> int:
 
 def _run_scan_command(args, out) -> int:
     # The census validates N, so invalid input exits 2 before --out is opened.
-    cen = density.census(args.N, args.jobs)
+    cen = density.census(args.N)
     write = (lambda line: None) if args.quiet else functools.partial(print, file=out)
     writer = contextlib.nullcontext(write) if args.out is None else _atomic_line_writer(args.out)
     with writer as write:
         count = run_scan(args.N, write, args.jobs, args.explain, args.csv)
-    warnings = [
-        f"bound check {b.name} failed at N={cen.N}: {b.lhs} vs {b.rhs}"
-        for b in cen.bound_checks
-        if not b.holds
-    ]
     summary = make_envelope(
         "scan",
         {"N": args.N, "jobs": args.jobs, "out": args.out},
         {"well_formed_records": count, "census": census_payload(cen)},
-        warnings,
+        _bound_check_warnings([cen]),
     )
     if not args.quiet:
         print(dumps_envelope(summary), file=out)
@@ -476,7 +487,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--quiet", action="store_true", default=flag_default, help="suppress stdout payloads"
     )
     parser.add_argument(
-        "--jobs", type=int, default=jobs_default, metavar="J", help="worker processes"
+        "--jobs", type=int, default=jobs_default, metavar="J", help="worker processes for scan"
     )
     parser.add_argument(
         "--explain",

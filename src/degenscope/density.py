@@ -4,25 +4,19 @@ S is the union of family A (some weight divides the sum of the other
 two: the plane carries a Du Val or smooth torus-fixed point) and the
 parametric families B1, B2, B3.  "Up to permutation" is realized by
 counting ordered triples whose sorted form lies in a family.  Family A
-is counted in O(N^2) through residue-class closed forms plus
-inclusion-exclusion over the three role choices; the B families are
-enumerated outright (they only hold O(N^{3/2}) triples), and the union
-count tests their members against the A condition directly instead of
-materializing A.
-
-`fan_out` is the package's one worker-pool policy: the family-A census
-and the CLI's box scan hand it one task per value of a.
+is counted in O(N log^2 N) by inclusion-exclusion over the three role
+choices, each term a closed-form sum; the B families are enumerated
+outright (they only hold O(N^{3/2}) triples), and the union count tests
+their members against the A condition directly instead of materializing
+A.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
-from multiprocessing import get_context
 
 from .wps import B_FAMILIES, family_b_instance, family_b_lk_bound
 
@@ -35,7 +29,6 @@ __all__ = [
     "family_b_param_instances",
     "family_b_ordered",
     "census",
-    "fan_out",
 ]
 
 
@@ -69,53 +62,36 @@ def family_a_contains(triple: tuple[int, int, int]) -> bool:
     return (b + c) % a == 0 or (a + c) % b == 0 or (a + b) % c == 0
 
 
-def _residue_count(N: int, a: int, r: int) -> int:
-    # x in [1,N] with x == r (mod a), 0 <= r < a
-    if r == 0:
-        return N // a
-    if r > N:
-        return 0
-    return (N - r) // a + 1
+def _single_role_count(N: int) -> int:
+    # ordered (a,b,c) with a | b+c: for each multiple s of a in [2, 2N] the
+    # pairs (b,c) in [1,N]^2 with b+c = s number min(s-1, 2N+1-s)
+    return sum(
+        min(s - 1, 2 * N + 1 - s)
+        for a in range(1, N + 1)
+        for s in range(max(a, 2), 2 * N + 1, a)
+    )
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    # solution class of x == r1 (mod m1), x == r2 (mod m2); the inputs here
-    # are always compatible: g = gcd(m1,m2) divides r2 - r1.
-    g = gcd(m1, m2)
-    l2 = m2 // g
-    lcm = (m1 // g) * m2
-    t = ((r2 - r1) // g * pow((m1 // g) % l2, -1, l2)) % l2 if l2 > 1 else 0
-    return ((r1 + m1 * t) % lcm, lcm)
+def _pair_role_count(N: int) -> int:
+    # ordered (a,b,c) with a | b+c and b | a+c.  With g = gcd(a,b),
+    # a = g*x and b = g*y, these hold exactly when c = g*(x*y*t - x - y)
+    # for some t >= 1, which gives floor((M+x+y)/xy) - floor((x+y)/xy)
+    # values of c <= N, where M = N // g.  That count is 0 once
+    # (x-1)(y-1) > M+1, so for x >= 2 the loop over y stops there.
+    total = 0
+    for g in range(1, N + 1):
+        M = N // g
+        for x in range(1, M + 1):
+            for y in range(1, M + 1):
+                if (x - 1) * (y - 1) > M + 1:
+                    break
+                if gcd(x, y) == 1:
+                    xy = x * y
+                    total += (M + x + y) // xy - (x + y) // xy
+    return total
 
 
-@contextmanager
-def fan_out(fn, tasks: list, jobs: int):
-    """Yield fn(task) for each task, lazily and in task order: in this process
-    when w = min(jobs, tasks, CPUs) <= 1, else through the ordered `imap` of
-    a fork pool of w workers, torn down on every exit path."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        yield map(fn, tasks)
-        return
-    with get_context("fork").Pool(processes=workers) as pool:
-        yield pool.imap(fn, tasks)
-
-
-def _family_a_slice(args: tuple[int, int]) -> tuple[int, int]:
-    """(single, pair) for one value a of the first role: ordered counts
-    with the divisibility condition imposed at the first role and at the
-    first two roles."""
-    N, a = args
-    counts = [_residue_count(N, a, r) for r in range(a)]
-    single = sum(counts[r] * counts[(a - r) % a] for r in range(a))
-    pair = 0
-    for b in range(1, N + 1):
-        c0, lcm = _crt((-b) % a, a, (-a) % b, b)
-        pair += _residue_count(N, lcm, c0)
-    return (single, pair)
-
-
-def _family_a_counts(N: int, jobs: int = 1) -> tuple[int, int, int]:
+def _family_a_counts(N: int) -> tuple[int, int, int]:
     """(single, pair, triple): ordered counts with the divisibility
     condition imposed at one, two and all three roles.
 
@@ -125,21 +101,17 @@ def _family_a_counts(N: int, jobs: int = 1) -> tuple[int, int, int]:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    single = pair = 0
-    with fan_out(_family_a_slice, [(N, a) for a in range(1, N + 1)], jobs) as parts:
-        for s, p in parts:
-            single += s
-            pair += p
-    return (single, pair, N + 3 * (N // 2) + 6 * (N // 3))
+    return (_single_role_count(N), _pair_role_count(N), N + 3 * (N // 2) + 6 * (N // 3))
 
 
-def count_family_A(N: int, jobs: int = 1) -> int:
+def count_family_A(N: int) -> int:
     """Ordered triples in [1,N]^3 where some permutation puts them in family A.
 
-    Union over the three role choices by inclusion-exclusion; each term is
-    evaluated with residue-class closed forms (O(N^2) overall).
+    Union over the three role choices by inclusion-exclusion; the one-role
+    term is a sum over pair sums (O(N log N)), the two-role term a sum over
+    gcd-reduced pairs (O(N log^2 N)), the three-role term a closed form.
     """
-    single, pair, triple = _family_a_counts(N, jobs)
+    single, pair, triple = _family_a_counts(N)
     return 3 * single - 3 * pair + triple
 
 
@@ -184,11 +156,11 @@ def _single_role_residue_bound(N: int) -> int:
     return sum(a * (-(-N // a) + 1) ** 2 for a in range(1, N + 1))
 
 
-def census(N: int, jobs: int = 1) -> DensityCensus:
+def census(N: int) -> DensityCensus:
     """Counts for A, B1-B3 and their union, the exact ratio over N^3, and
     the bound checks; the union is exact for any N since only the small B
     families are materialized."""
-    single, pair, triple = _family_a_counts(N, jobs)
+    single, pair, triple = _family_a_counts(N)
     count_a = 3 * single - 3 * pair + triple
 
     ordered = {fam: family_b_ordered(fam, N) for fam in B_FAMILIES}

@@ -9,6 +9,7 @@ arithmetic for the small pinned instances.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
@@ -273,25 +274,37 @@ def _cubic_family_a_oracle(N: int) -> int:
 
 
 def test_criterion_09_density_trend_and_bounds():
-    censuses = {N: density.census(N) for N in (10, 50, 100, 200, 400)}
+    sizes = (10, 50, 100, 200, 400, 500, 800, 1000, 2000)
+    censuses = {N: density.census(N) for N in sizes}
 
-    ratio_ok = all(censuses[2 * N].ratio < censuses[N].ratio for N in (50, 100, 200))
-    report(9, "census ratio(2N) < ratio(N) for N in {50,100,200}", ratio_ok)
+    doubled = (50, 100, 200, 400, 500, 1000)
+    ratio_ok = all(censuses[2 * N].ratio < censuses[N].ratio for N in doubled)
+    report(9, "census ratio(2N) < ratio(N) for N in {50,100,200,400,500,1000}", ratio_ok)
 
+    # B1 counts at every N <= 2000 from one enumeration at N = 2000,
+    # tallied by largest entry; they must agree with the census sizes
+    top = sizes[-1]
+    ordered_by_max = Counter(max(t) for t in density.family_b_ordered("B1", top))
+    sorted_instances = {tuple(sorted(t)) for t in density.family_b_param_instances("B1", top)}
+    unordered_by_max = Counter(t[2] for t in sorted_instances)
     bound_ok = True
-    for N in (10, 50, 100, 200, 400):
-        c = censuses[N]
-        ordered_holds = c.count_B1**2 < 36 * N**3
-        if not ordered_holds:
+    ordered = unordered = 0
+    for N in range(1, top + 1):
+        ordered += ordered_by_max[N]
+        unordered += unordered_by_max[N]
+        if N in censuses:
+            c = censuses[N]
+            bound_ok &= (c.count_B1, c.count_B1_unordered) == (ordered, unordered)
+        if ordered**2 >= 36 * N**3:
             # permutation-convention ambiguity: report, then test the
             # unordered count before declaring failure
             print(
-                f"criterion 09 note: ordered B1 count {c.count_B1} misses 6*{N}^(3/2); "
-                f"unordered count {c.count_B1_unordered}"
+                f"criterion 09 note: ordered B1 count {ordered} misses 6*{N}^(3/2); "
+                f"unordered count {unordered}"
             )
-            if c.count_B1_unordered**2 >= 36 * N**3:
+            if unordered**2 >= 36 * N**3:
                 bound_ok = False
-    report(9, "count_B1(N) < 6*N^(3/2) for N in {10,50,100,200,400}", bound_ok)
+    report(9, "count_B1(N) < 6*N^(3/2) for every N <= 2000", bound_ok)
 
     oracle_ok = all(density.count_family_A(N) == _cubic_family_a_oracle(N) for N in range(1, 201))
     report(9, "closed-form family-A counter equals the cubic oracle for all N <= 200", oracle_ok)

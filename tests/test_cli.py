@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -198,6 +199,21 @@ class TestDensityCommand:
         code, _, _ = run_cli(capsys, "--csv", "cqs", "9", "1", "2")
         assert code == EXIT_INVALID_INPUT
 
+    def test_failed_bound_check_warns_alike_in_density_and_scan(self, tmp_path, capsys, monkeypatch):
+        real_census = density.census
+
+        def failing_census(N):
+            c = real_census(N)
+            failed = dataclasses.replace(c.bound_checks[-1], holds=False)
+            return dataclasses.replace(c, bound_checks=(*c.bound_checks[:-1], failed))
+
+        monkeypatch.setattr(density, "census", failing_census)
+        b = failing_census(7).bound_checks[-1]
+        expected = [f"bound check {b.name} failed at N=7: {b.lhs} vs {b.rhs}"]
+        assert run_json(capsys, "density", "7")["warnings"] == expected
+        scan = run_json(capsys, "scan", "7", "--out", str(tmp_path / "records.jsonl"))
+        assert scan["warnings"] == expected
+
 
 class TestScanCommand:
     def test_scan_one(self, capsys):
@@ -315,30 +331,29 @@ class TestJobs:
 
     def test_scan_pool_clamped(self, monkeypatch):
         ctx = _RecordingContext()
-        monkeypatch.setattr(density, "get_context", lambda method: ctx)
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         serial = scan_lines(6, jobs=1)
         assert scan_lines(6, jobs=10**6) == serial  # clamped to the 3 CPUs
         assert scan_lines(2, jobs=10**6) == scan_lines(2, jobs=1)  # clamped to the 2 tasks
-        monkeypatch.setattr(density.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert scan_lines(6, jobs=8) == serial  # unknown CPU count: serial
         assert ctx.pool_sizes == [3, 2] and ctx.live == 0
 
-    def test_density_pool_clamped(self, monkeypatch):
+    def test_only_the_scan_records_start_a_pool(self, capsys, monkeypatch):
         ctx = _RecordingContext()
-        monkeypatch.setattr(density, "get_context", lambda method: ctx)
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 3)
-        serial = density.count_family_A(20, jobs=1)
-        assert density.count_family_A(20, jobs=10**6) == serial
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 1)
-        assert density.count_family_A(20, jobs=4) == serial
-        assert ctx.pool_sizes == [3] and ctx.live == 0
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run_cli(capsys, "--jobs", "2", "density", "50")[0] == EXIT_OK
+        assert ctx.pool_sizes == []
+        assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
+        assert ctx.pool_sizes == [2] and ctx.live == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, jobs):
         ctx = _RecordingContext()
-        monkeypatch.setattr(density, "get_context", lambda method: ctx)
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         events = []
 
         def spied(args, _fn=cli._scan_slice):
@@ -353,8 +368,8 @@ class TestJobs:
 
     def test_failing_write_exits_the_pool(self, monkeypatch):
         ctx = _RecordingContext()
-        monkeypatch.setattr(density, "get_context", lambda method: ctx)
-        monkeypatch.setattr(density.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         written = []
 
         def write(line):

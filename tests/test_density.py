@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,45 @@ def brute_family_a(N):
     )
 
 
+def _residue_count(N: int, a: int, r: int) -> int:
+    # x in [1,N] with x == r (mod a), 0 <= r < a
+    if r == 0:
+        return N // a
+    if r > N:
+        return 0
+    return (N - r) // a + 1
+
+
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    # solution class of x == r1 (mod m1), x == r2 (mod m2); the inputs here
+    # are always compatible: g = gcd(m1,m2) divides r2 - r1.
+    g = gcd(m1, m2)
+    l2 = m2 // g
+    lcm = (m1 // g) * m2
+    t = ((r2 - r1) // g * pow((m1 // g) % l2, -1, l2)) % l2 if l2 > 1 else 0
+    return ((r1 + m1 * t) % lcm, lcm)
+
+
+def _family_a_slice(args: tuple[int, int]) -> tuple[int, int]:
+    """(single, pair) for one value a of the first role: ordered counts
+    with the divisibility condition imposed at the first role and at the
+    first two roles."""
+    N, a = args
+    counts = [_residue_count(N, a, r) for r in range(a)]
+    single = sum(counts[r] * counts[(a - r) % a] for r in range(a))
+    pair = 0
+    for b in range(1, N + 1):
+        c0, lcm = _crt((-b) % a, a, (-a) % b, b)
+        pair += _residue_count(N, lcm, c0)
+    return (single, pair)
+
+
+def residue_family_a_counts(N):
+    """(single, pair) from the O(N^2) residue-class counter, one slice per a."""
+    slices = [_family_a_slice((N, a)) for a in range(1, N + 1)]
+    return (sum(s for s, _ in slices), sum(p for _, p in slices))
+
+
 class TestFamilyA:
     @pytest.mark.parametrize("N,expected", [(1, 1), (2, 8)])
     def test_pinned_small(self, N, expected):
@@ -39,11 +79,11 @@ class TestFamilyA:
         # frozen from the O(N^3) oracle run
         assert count_family_A(200) == 673190
 
-    def test_jobs_do_not_change_counts(self):
-        assert count_family_A(120, jobs=3) == count_family_A(120, jobs=1)
+    @pytest.mark.parametrize("N", [*range(1, 61), 137, 500, 1000])
+    def test_single_and_pair_terms_match_residue_counter(self, N):
+        assert density._family_a_counts(N)[:2] == residue_family_a_counts(N)
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_triple_role_closed_form_matches_cubic_count(self, jobs):
+    def test_triple_role_closed_form_matches_cubic_count(self):
         # direct count of ordered triples meeting all three divisibilities,
         # tallied by largest entry so one pass over [1,40]^3 serves every N
         by_max = [0] * 41
@@ -53,7 +93,7 @@ class TestFamilyA:
                     if (b + c) % a == 0 and (a + c) % b == 0 and (a + b) % c == 0:
                         by_max[max(a, b, c)] += 1
         for N in range(1, 41):
-            assert density._family_a_counts(N, jobs)[2] == sum(by_max[: N + 1])
+            assert density._family_a_counts(N)[2] == sum(by_max[: N + 1])
 
 
 class TestFamilyB:
@@ -129,9 +169,6 @@ class TestCensus:
                 assert c.count_B3 >= prev.count_B3
                 assert c.count_S >= prev.count_S
             prev = c
-
-    def test_jobs_do_not_change_census(self):
-        assert census(60, jobs=4) == census(60, jobs=1)
 
 
 class TestResidueBound:
