@@ -5,17 +5,17 @@ two: the plane carries a Du Val or smooth torus-fixed point) and the
 parametric families B1, B2, B3.  "Up to permutation" is realized by
 counting ordered triples whose sorted form lies in a family.  Family A
 is counted in O(N log^2 N) by inclusion-exclusion over the three role
-choices, each term a closed-form sum; the B families are enumerated
-outright (they only hold O(N^{3/2}) triples), and the union count tests
-their members against the A condition directly instead of materializing
-A.
+choices, each term a closed-form sum.  The B families are enumerated
+outright (they only hold O(N^{3/2}) triples) as sets of sorted members;
+every member has three distinct entries, so it stands for exactly six
+ordered triples.  The union count tests the sorted B members against
+the symmetric A condition directly instead of materializing A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd, isqrt
 
 from .wps import B_FAMILIES, family_b_instance, family_b_lk_bound
@@ -104,6 +104,11 @@ def _family_a_counts(N: int) -> tuple[int, int, int]:
     return (_single_role_count(N), _pair_role_count(N), N + 3 * (N // 2) + 6 * (N // 3))
 
 
+def _roles_union(single: int, pair: int, triple: int) -> int:
+    # inclusion-exclusion over the three (symmetric) role conditions
+    return 3 * single - 3 * pair + triple
+
+
 def count_family_A(N: int) -> int:
     """Ordered triples in [1,N]^3 where some permutation puts them in family A.
 
@@ -111,8 +116,7 @@ def count_family_A(N: int) -> int:
     term is a sum over pair sums (O(N log N)), the two-role term a sum over
     gcd-reduced pairs (O(N log^2 N)), the three-role term a closed form.
     """
-    single, pair, triple = _family_a_counts(N)
-    return 3 * single - 3 * pair + triple
+    return _roles_union(*_family_a_counts(N))
 
 
 def family_b_param_instances(family: str, N: int) -> list[tuple[int, int, int]]:
@@ -138,17 +142,18 @@ def family_b_param_instances(family: str, N: int) -> list[tuple[int, int, int]]:
 
 
 def family_b_ordered(family: str, N: int) -> set[tuple[int, int, int]]:
-    """All ordered triples in [1,N]^3 whose sorted form lies in the family."""
-    members: set[tuple[int, int, int]] = set()
-    for inst in family_b_param_instances(family, N):
-        for perm in permutations(inst):
-            members.add(perm)
-    return members
+    """The family's members in [1,N]^3, each as its sorted triple.
+
+    An instance (1 + l*e, base + k*e, e) has entries congruent to 1, base
+    and 0 mod e, and 1 < base < e at every n >= 2, so its three entries
+    are distinct and it stands for exactly six ordered triples.
+    """
+    return {tuple(sorted(t)) for t in family_b_param_instances(family, N)}
 
 
 def count_family_B(family: str, N: int) -> int:
     """Ordered count of the family inside [1,N]^3, coincidences deduplicated."""
-    return len(family_b_ordered(family, N))
+    return 6 * len(family_b_ordered(family, N))
 
 
 def _single_role_residue_bound(N: int) -> int:
@@ -161,16 +166,13 @@ def census(N: int) -> DensityCensus:
     the bound checks; the union is exact for any N since only the small B
     families are materialized."""
     single, pair, triple = _family_a_counts(N)
-    count_a = 3 * single - 3 * pair + triple
+    count_a = _roles_union(single, pair, triple)
 
-    ordered = {fam: family_b_ordered(fam, N) for fam in B_FAMILIES}
-    b_union: set[tuple[int, int, int]] = set()
-    for members in ordered.values():
-        b_union |= members
-    outside_a = sum(1 for t in b_union if not family_a_contains(t))
-    count_s = count_a + outside_a
+    members = {fam: family_b_ordered(fam, N) for fam in B_FAMILIES}
+    b_union = set().union(*members.values())
+    count_s = count_a + 6 * sum(1 for t in b_union if not family_a_contains(t))
 
-    count_b1 = len(ordered["B1"])
+    count_b1 = 6 * len(members["B1"])
     residue_rhs = _single_role_residue_bound(N)
     checks = (
         BoundCheck(
@@ -186,21 +188,17 @@ def census(N: int) -> DensityCensus:
             rhs=f"6*{N}^(3/2) ~ {6 * isqrt(N**3)}",
         ),
     )
-    unordered = {
-        fam: len({tuple(sorted(t)) for t in family_b_param_instances(fam, N)})
-        for fam in B_FAMILIES
-    }
     return DensityCensus(
         N=N,
         count_A=count_a,
         count_B1=count_b1,
-        count_B2=len(ordered["B2"]),
-        count_B3=len(ordered["B3"]),
+        count_B2=6 * len(members["B2"]),
+        count_B3=6 * len(members["B3"]),
         count_S=count_s,
         ratio=Fraction(count_s, N**3),
         bound_checks=checks,
         count_A_single_role=single,
-        count_B1_unordered=unordered["B1"],
-        count_B2_unordered=unordered["B2"],
-        count_B3_unordered=unordered["B3"],
+        count_B1_unordered=len(members["B1"]),
+        count_B2_unordered=len(members["B2"]),
+        count_B3_unordered=len(members["B3"]),
     )

@@ -33,6 +33,7 @@ from degenscope.cqs import (
     wahl,
 )
 from degenscope.wps import Outcome, WpsTriple
+from test_density import _ordered_b_members
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -274,17 +275,17 @@ def _cubic_family_a_oracle(N: int) -> int:
 
 
 def test_criterion_09_density_trend_and_bounds():
-    sizes = (10, 50, 100, 200, 400, 500, 800, 1000, 2000)
+    sizes = (10, 50, 100, 200, 400, 500, 800, 1000, 2000, 2500, 4000, 5000, 10000)
     censuses = {N: density.census(N) for N in sizes}
 
-    doubled = (50, 100, 200, 400, 500, 1000)
+    doubled = (50, 100, 200, 400, 500, 1000, 2000, 2500, 5000)
     ratio_ok = all(censuses[2 * N].ratio < censuses[N].ratio for N in doubled)
-    report(9, "census ratio(2N) < ratio(N) for N in {50,100,200,400,500,1000}", ratio_ok)
+    report(9, f"census ratio(2N) < ratio(N) for N in {{{','.join(map(str, doubled))}}}", ratio_ok)
 
-    # B1 counts at every N <= 2000 from one enumeration at N = 2000,
+    # B1 counts at every N <= 10^4 from one enumeration at N = 10^4,
     # tallied by largest entry; they must agree with the census sizes
     top = sizes[-1]
-    ordered_by_max = Counter(max(t) for t in density.family_b_ordered("B1", top))
+    ordered_by_max = Counter(max(t) for t in _ordered_b_members("B1", top))
     sorted_instances = {tuple(sorted(t)) for t in density.family_b_param_instances("B1", top)}
     unordered_by_max = Counter(t[2] for t in sorted_instances)
     bound_ok = True
@@ -304,7 +305,7 @@ def test_criterion_09_density_trend_and_bounds():
             )
             if unordered**2 >= 36 * N**3:
                 bound_ok = False
-    report(9, "count_B1(N) < 6*N^(3/2) for every N <= 2000", bound_ok)
+    report(9, f"count_B1(N) < 6*N^(3/2) for every N <= {top}", bound_ok)
 
     oracle_ok = all(density.count_family_A(N) == _cubic_family_a_oracle(N) for N in range(1, 201))
     report(9, "closed-form family-A counter equals the cubic oracle for all N <= 200", oracle_ok)

@@ -11,10 +11,18 @@ from degenscope.density import (
     count_family_A,
     count_family_B,
     family_a_contains,
-    family_b_ordered,
     family_b_param_instances,
 )
-from degenscope.wps import WpsTriple
+from degenscope.wps import B_FAMILIES, WpsTriple
+
+
+def _ordered_b_members(fam, N):
+    """Reference: every ordered triple in [1,N]^3 whose sorted form lies in
+    the family, built from every permutation of every parameter instance."""
+    members = set()
+    for inst in family_b_param_instances(fam, N):
+        members.update(permutations(inst))
+    return members
 
 
 def brute_family_a(N):
@@ -125,9 +133,22 @@ class TestFamilyB:
                 assert w is not None
 
     def test_ordered_set_closed_under_permutation(self):
-        members = family_b_ordered("B1", 40)
+        members = _ordered_b_members("B1", 40)
         for t in members:
             assert set(permutations(t)) <= members
+
+    def test_instances_have_three_distinct_entries(self):
+        # the census counts six ordered triples per sorted member
+        for fam in B_FAMILIES:
+            instances = family_b_param_instances(fam, 2000)
+            assert instances
+            assert all(len(set(t)) == 3 for t in instances)
+
+    def test_sorted_members_match_ordered_reference(self):
+        for fam in B_FAMILIES:
+            members = density.family_b_ordered(fam, 60)
+            assert all(list(t) == sorted(t) for t in members)
+            assert members == {tuple(sorted(t)) for t in _ordered_b_members(fam, 60)}
 
 
 class TestCensus:
@@ -152,11 +173,26 @@ class TestCensus:
         c = census(N)
         members = set()
         for fam in ("B1", "B2", "B3"):
-            members |= family_b_ordered(fam, N)
+            members |= _ordered_b_members(fam, N)
         brute_s = brute_family_a(N) + sum(
             1 for t in members if not family_a_contains(t)
         )
         assert c.count_S == brute_s
+
+    @pytest.mark.parametrize("N", [*range(1, 61), 137, 500])
+    def test_fields_match_ordered_reference(self, N):
+        c = census(N)
+        ordered = {fam: _ordered_b_members(fam, N) for fam in B_FAMILIES}
+        assert (c.count_B1, c.count_B2, c.count_B3) == tuple(
+            len(ordered[fam]) for fam in B_FAMILIES
+        )
+        assert (c.count_B1_unordered, c.count_B2_unordered, c.count_B3_unordered) == tuple(
+            len({tuple(sorted(t)) for t in ordered[fam]}) for fam in B_FAMILIES
+        )
+        b_union = set().union(*ordered.values())
+        assert c.count_S == count_family_A(N) + sum(
+            1 for t in b_union if not family_a_contains(t)
+        )
 
     def test_monotone_coverage(self):
         prev = None
@@ -197,7 +233,7 @@ class TestResidueBound:
 class TestMembershipCoherence:
     def test_wps_predicates_agree_with_enumerated_sets(self):
         N = 60
-        b_sets = {fam: family_b_ordered(fam, N) for fam in ("B1", "B2", "B3")}
+        b_sets = {fam: _ordered_b_members(fam, N) for fam in ("B1", "B2", "B3")}
         b_union = set().union(*b_sets.values())
         rng = random.Random(20240817)
         for _ in range(1000):

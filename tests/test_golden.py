@@ -48,6 +48,7 @@ CASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("density_50_100_200", ("density", "50", "100", "200")),
     ("density_csv_50_100_200", ("--csv", "density", "50", "100", "200")),
     ("density_jobs2_50_100_200", ("--jobs", "2", "density", "50", "100", "200")),
+    ("density_1000_2000", ("density", "1000", "2000")),
     ("scan_12", ("scan", "12")),
     ("scan_12_jobs2", ("--jobs", "2", "scan", "12")),
     ("scan_12_csv", ("--csv", "scan", "12")),

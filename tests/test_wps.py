@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from degenscope import cli, cqs, density, markov, wps
+from degenscope import cli, cqs, markov, wps
 from degenscope.cqs import NormalizedCqs, same_singularity, wahl
 from degenscope.wps import (
     Outcome,
@@ -21,6 +21,7 @@ from degenscope.wps import (
     wps_mld,
     wps_mld_below,
 )
+from test_density import _ordered_b_members
 
 
 class TestWpsTriple:
@@ -186,7 +187,7 @@ class TestFamilyB:
         # triple in [1,40]^3 matches exactly when some permutation of it is
         # a parameter instance, and every witness rebuilds its permutation.
         N = 40
-        members = set().union(*(density.family_b_ordered(fam, N) for fam in wps.B_FAMILIES))
+        members = set().union(*(_ordered_b_members(fam, N) for fam in wps.B_FAMILIES))
         hits = 0
         for t in product(range(1, N + 1), repeat=3):
             w = family_B_member(WpsTriple(*t))
