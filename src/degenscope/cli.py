@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from math import gcd
 from multiprocessing import get_context
 from typing import Any
@@ -79,9 +80,67 @@ def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: l
 
 
 def dumps_envelope(env: dict, compact: bool = False) -> str:
+    """The envelope as compact JSON, or as the exact bytes of
+    `json.dumps(env, ensure_ascii=False, indent=2)`.
+
+    `json` pretty-prints only through its pure-Python encoder, which costs a
+    call per chain entry; `_pretty_pieces` writes the same bytes and joins a
+    list of plain ints, such as an m-1 entry Du Val chain, in one call.
+    """
     if compact:
         return json.dumps(env, ensure_ascii=False, separators=(",", ":"))
-    return json.dumps(env, ensure_ascii=False, indent=2)
+    pieces: list[str] = []
+    _pretty_pieces(env, "\n", pieces)
+    return "".join(pieces)
+
+
+def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
+    """Append the indent-2 JSON pieces of `obj`, nested at the indent that
+    `newline` carries, to `pieces`: one list joined once at the top, so a
+    long chain is copied once, not once per nesting level."""
+    if obj is None:
+        pieces.append("null")
+    elif obj is True:
+        pieces.append("true")
+    elif obj is False:
+        pieces.append("false")
+    elif isinstance(obj, str):
+        pieces.append(encode_basestring(obj))
+    elif isinstance(obj, int):
+        pieces.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        pieces.append("[" + inner)
+        # Types over the whole sequence, not set(obj): that would merge True
+        # with 1, and a bool must print as true.
+        if set(map(type, obj)) == {int}:
+            texts = {v: int.__repr__(v) for v in set(obj)}
+            pieces.append(sep.join(map(texts.__getitem__, obj)))
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    pieces.append(sep)
+                _pretty_pieces(item, inner, pieces)
+        pieces.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        pieces.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pieces.append((sep if i else inner) + encode_basestring(key) + ": ")
+            _pretty_pieces(value, inner, pieces)
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _basket_payload(tags) -> list[dict]:
@@ -99,7 +158,8 @@ def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
     """The fields a point report shares with the cqs command, in order.
 
     The chains stay tuples, which serialize as JSON arrays: a chain can hold
-    m-1 entries, and the point cache already holds this one.
+    m-1 entries, and the point cache already holds this one.  The pretty
+    writer joins a chain of plain ints in one call (its int fast path).
     """
     return {
         "normalized": {"m": pt.normalized.m, "q": pt.normalized.q},

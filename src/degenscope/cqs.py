@@ -151,7 +151,10 @@ def normalize(germ: CqsGerm) -> NormalizedCqs:
 def hj_expand(m: int, q: int) -> tuple[int, ...]:
     """Hirzebruch-Jung expansion m/q = [a1,...,ak], each ai >= 2.
 
-    m/q = a1 - 1/(a2 - 1/(...)), computed by repeated ceiling division.
+    m/q = a1 - 1/(a2 - 1/(...)), computed by ceiling division, one step per
+    run of 2's: while q >= d = m - q the next entry is 2 and (m, q) becomes
+    (m - d, q - d), so a run of q // d twos is one step.  The loop takes
+    O(log m) steps; only filling the tuple is Theta(len(chain)).
     """
     if m == 1 and q == 0:
         return ()
@@ -159,9 +162,15 @@ def hj_expand(m: int, q: int) -> tuple[int, ...]:
         raise ValueError(f"need 0 < q < m coprime, got (m,q)=({m},{q})")
     entries = []
     while q > 0:
-        a = -(-m // q)
-        entries.append(a)
-        m, q = q, a * q - m
+        d = m - q
+        if q >= d:
+            twos = q // d
+            entries.extend([2] * twos)
+            m, q = m - twos * d, q - twos * d
+        else:
+            a = -(-m // q)
+            entries.append(a)
+            m, q = q, a * q - m
     return tuple(entries)
 
 
@@ -356,8 +365,10 @@ def mld_upper_bound(s: NormalizedCqs, T: int) -> Fraction:
 
 
 def mld_less_than(s: NormalizedCqs, threshold: Fraction) -> bool:
-    """Exact decision mld(s) < threshold."""
-    return mld_normalized(s) < threshold
+    """Exact decision mld(s) < threshold, by cross-multiplying the
+    (positive) denominators rather than through `Fraction.__lt__`."""
+    f = mld_normalized(s)
+    return f.numerator * threshold.denominator < threshold.numerator * f.denominator
 
 
 def wahl(n: int, a: int) -> NormalizedCqs:

@@ -415,6 +415,71 @@ class TestDeterminism:
         assert dumps_envelope(env) == out.rstrip("\n")
 
 
+# Leaves of the envelope payload types, with the cases a hand-written
+# encoder gets wrong: negative and beyond-64-bit ints, bools beside ints,
+# and strings with quotes, backslashes, control and non-BMP characters.
+JSON_LEAVES = (
+    st.integers(-(2**70), 2**70)
+    | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**64)])
+    | st.booleans()
+    | st.none()
+    | st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\n\t\U0001f600'))
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=5),
+    max_leaves=40,
+)
+
+
+def indent2_oracle(obj):
+    return json.dumps(obj, ensure_ascii=False, indent=2)
+
+
+class TestPrettyWriter:
+    """`dumps_envelope` writes the bytes of `json.dumps(..., indent=2)`."""
+
+    @given(JSON_TREES)
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_matches_json_dumps(self, obj):
+        assert dumps_envelope(obj) == indent2_oracle(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            (1, True),
+            [True, 2],
+            {"a": [False, 0, 1, True]},
+            [[], {}, [[]], {"x": {}}, [{}]],
+            {"": [], "e": {}},
+            [2**64, -(2**64), 0],
+            [],
+            {},
+        ],
+    )
+    def test_explicit_cases(self, obj):
+        assert dumps_envelope(obj) == indent2_oracle(obj)
+
+    def test_long_du_val_chain_at_depth_3(self):
+        chain = (2,) * 10**5
+        env = {"result": {"point": {"chain": chain, "dual_chain": list(chain)}}}
+        assert dumps_envelope(env) == indent2_oracle(env)
+
+    @pytest.mark.parametrize("leaf", [1.5, Fraction(1, 2), float("nan")])
+    def test_other_types_raise(self, leaf):
+        for obj in (leaf, [leaf], [1, leaf], {"a": leaf}, (leaf,)):
+            with pytest.raises(TypeError):
+                dumps_envelope(obj)
+
+    def test_non_str_keys_raise(self):
+        # Payload keys are all str; json.dumps would coerce these silently.
+        for key in (1, None, True):
+            with pytest.raises(TypeError):
+                dumps_envelope({"ok": {key: 0}})
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(

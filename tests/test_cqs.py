@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -34,6 +35,18 @@ def coprime_pairs(max_m):
         for q in range(1, m):
             if gcd(m, q) == 1:
                 yield m, q
+
+
+def _hj_expand_steps(m, q):
+    """Oracle for `hj_expand`: one ceiling division per chain entry."""
+    if m == 1 and q == 0:
+        return ()
+    entries = []
+    while q > 0:
+        a = -(-m // q)
+        entries.append(a)
+        m, q = q, a * q - m
+    return tuple(entries)
 
 
 class TestNormalize:
@@ -109,6 +122,32 @@ class TestHjChains:
         if q == 0 or gcd(m, q) != 1:
             q = m - 1  # always coprime
         assert hj_eval(hj_expand(m, q)) == (m, q)
+
+    def test_runs_match_steps_exhaustive(self):
+        assert hj_expand(1, 0) == _hj_expand_steps(1, 0) == ()
+        for m, q in coprime_pairs(300):
+            assert hj_expand(m, q) == _hj_expand_steps(m, q), (m, q)
+
+    def test_runs_match_steps_random_large(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            m = rng.randrange(2, 10**30)
+            q = rng.randrange(1, m)
+            while gcd(m, q) != 1:
+                q = rng.randrange(1, m)
+            assert hj_expand(m, q) == _hj_expand_steps(m, q), (m, q)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 1000, 10**5])
+    def test_runs_match_steps_long_twos(self, k):
+        # Du Val [2^k], [3,2^k] and [2^k,3,2^j]: the chains whose runs of 2's
+        # the expansion steps over in one go.
+        shapes = [(2,) * k, (3,) + (2,) * k]
+        shapes += [(2,) * k + (3,) + (2,) * j for j in (0, 1, 5, k)]
+        for chain in shapes:
+            if not chain:
+                continue
+            m, q = hj_eval(chain)
+            assert hj_expand(m, q) == _hj_expand_steps(m, q) == chain
 
 
 class TestReverseType:

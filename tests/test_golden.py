@@ -35,6 +35,9 @@ CASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("cqs_9_1_2", ("cqs", "9", "1", "2")),
     ("cqs_17_3_11", ("cqs", "17", "3", "11")),
     ("cqs_smooth", ("cqs", "1", "0", "0")),
+    # Long chains: an A_1999 chain at depth 2, and one inside `points` at depth 4.
+    ("cqs_2000_1_1999", ("cqs", "2000", "1", "1999")),
+    ("wps_1_1000_1001", ("wps", "1", "1000", "1001")),
     ("wps_4_25_841", ("wps", "4", "25", "841")),
     ("wps_explain_1_5_8", ("--explain", "wps", "1", "5", "8")),
     ("wps_2_4_5", ("wps", "2", "4", "5")),
