@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 from math import gcd
-from multiprocessing import get_context
 from typing import Any
 
 from . import cqs, density, markov, wps
@@ -55,7 +54,7 @@ def frac_str(f: Fraction) -> str:
 
 def frac_decimal(f: Fraction, digits: int = 12) -> str:
     """Deterministic decimal rendering with integer arithmetic only."""
-    sign = "-" if f < 0 else ""
+    sign = "-" if f.numerator < 0 else ""
     n, d = abs(f.numerator), f.denominator
     whole, rem = divmod(n, d)
     if rem == 0:
@@ -108,7 +107,9 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         pieces.append(encode_basestring(obj))
     elif isinstance(obj, int):
         pieces.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+    # Exact types: the value objects are tuple subclasses, and one that
+    # leaks into a payload must raise, not print as an array.
+    elif type(obj) in (list, tuple):
         if not obj:
             pieces.append("[]")
             return
@@ -126,7 +127,7 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
                     pieces.append(sep)
                 _pretty_pieces(item, inner, pieces)
         pieces.append(newline + "]")
-    elif isinstance(obj, dict):
+    elif type(obj) is dict:
         if not obj:
             pieces.append("{}")
             return
@@ -318,11 +319,21 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
     return lines
 
 
+def get_context(method: str):
+    """`multiprocessing.get_context`, imported on first use: only a scan
+    with a pool of two or more workers needs `multiprocessing`, and every
+    other command starts without loading it."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
+
+
 @contextlib.contextmanager
 def fan_out(fn, tasks: list, jobs: int):
     """Yield fn(task) for each task, lazily and in task order: in this process
     when w = min(jobs, tasks, CPUs) <= 1, else through the ordered `imap` of
-    a fork pool of w workers, torn down on every exit path."""
+    a fork pool of w workers, torn down on every exit path.  `multiprocessing`
+    is imported only when that pool is forked."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         yield map(fn, tasks)

@@ -9,10 +9,10 @@ pattern membership, and minimal log discrepancies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 __all__ = [
     "Fraction",
@@ -41,58 +41,73 @@ __all__ = [
 SMOOTH_MLD = Fraction(2)  # minimal log discrepancy of a smooth surface point
 
 
-@dataclass(frozen=True)
-class CqsGerm:
-    """Cyclic quotient germ 1/m(w1,w2); weights are stored reduced mod m."""
+def _validated_make(cls, fields):
+    # `_make` for the value types that validate in `__new__`: the NamedTuple
+    # default skips `__new__`, and `_replace` builds through `_make`.
+    return cls(*fields)
 
+
+class _CqsGermFields(NamedTuple):
     m: int
     w1: int
     w2: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be >= 1, got {self.m}")
-        object.__setattr__(self, "w1", self.w1 % self.m)
-        object.__setattr__(self, "w2", self.w2 % self.m)
-        for w in (self.w1, self.w2):
-            if gcd(w, self.m) != 1:
-                raise ValueError(
-                    f"1/{self.m}({self.w1},{self.w2}): weight {w} is not a unit mod {self.m}"
-                )
+
+class CqsGerm(_CqsGermFields):
+    """Cyclic quotient germ 1/m(w1,w2); weights are stored reduced mod m."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, w1: int, w2: int) -> CqsGerm:
+        if m < 1:
+            raise ValueError(f"order must be >= 1, got {m}")
+        w1 %= m
+        w2 %= m
+        for w in (w1, w2):
+            if gcd(w, m) != 1:
+                raise ValueError(f"1/{m}({w1},{w2}): weight {w} is not a unit mod {m}")
+        return super().__new__(cls, m, w1, w2)
+
+    _make = classmethod(_validated_make)
 
     @property
     def smooth(self) -> bool:
         return self.m == 1
 
 
-@dataclass(frozen=True)
-class NormalizedCqs:
+class _NormalizedCqsFields(NamedTuple):
+    m: int
+    q: int
+
+
+class NormalizedCqs(_NormalizedCqsFields):
     """Normal form 1/m(1,q) with 0 < q < m coprime; (1,0) is a smooth point.
 
     (m,q) and (m,q') present the same singularity iff q' == q or
     q*q' == 1 (mod m) (reading the resolution chain from the other end).
     """
 
-    m: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be >= 1, got {self.m}")
-        if self.m == 1:
-            if self.q != 0:
+    def __new__(cls, m: int, q: int) -> NormalizedCqs:
+        if m < 1:
+            raise ValueError(f"order must be >= 1, got {m}")
+        if m == 1:
+            if q != 0:
                 raise ValueError("smooth marker must be (1, 0)")
-            return
-        if not (0 < self.q < self.m):
-            raise ValueError(f"need 0 < q < m, got (m,q)=({self.m},{self.q})")
-        if gcd(self.m, self.q) != 1:
-            raise ValueError(f"(m,q)=({self.m},{self.q}) are not coprime")
+        elif not (0 < q < m):
+            raise ValueError(f"need 0 < q < m, got (m,q)=({m},{q})")
+        elif gcd(m, q) != 1:
+            raise ValueError(f"(m,q)=({m},{q}) are not coprime")
+        return super().__new__(cls, m, q)
+
+    _make = classmethod(_validated_make)
 
     @property
     def smooth(self) -> bool:
         return self.m == 1
 
-    def canonical(self) -> "NormalizedCqs":
+    def canonical(self) -> NormalizedCqs:
         """The representative with the smaller of q and q^-1 mod m."""
         if self.smooth:
             return self
@@ -102,22 +117,28 @@ class NormalizedCqs:
 SMOOTH = NormalizedCqs(1, 0)
 
 
-@dataclass(frozen=True)
-class TData:
+class _TDataFields(NamedTuple):
+    d: int
+    n: int
+    a: int
+
+
+class TData(_TDataFields):
     """Witness that a germ is 1/(d*n^2)(1, d*n*a - 1).
 
     n == 1 encodes the Du Val germ A_{d-1}; d == 1 (and n >= 2) is Wahl.
     """
 
-    d: int
-    n: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.n < 1:
+    def __new__(cls, d: int, n: int, a: int) -> TData:
+        if d < 1 or n < 1:
             raise ValueError("d and n must be positive")
-        if not (0 < self.a <= self.n) or gcd(self.a, self.n) != 1:
-            raise ValueError(f"need 0 < a <= n coprime, got a={self.a}, n={self.n}")
+        if not (0 < a <= n) or gcd(a, n) != 1:
+            raise ValueError(f"need 0 < a <= n coprime, got a={a}, n={n}")
+        return super().__new__(cls, d, n, a)
+
+    _make = classmethod(_validated_make)
 
     @property
     def is_wahl(self) -> bool:
@@ -132,8 +153,7 @@ class TData:
         return NormalizedCqs(m, (self.d * self.n * self.a - 1) % m)
 
 
-@dataclass(frozen=True)
-class BasketTag:
+class BasketTag(NamedTuple):
     """A matched chain pattern: family in {F1..F4, D}, pattern, and its k or n."""
 
     family: str

@@ -14,9 +14,9 @@ the symmetric A condition directly instead of materializing A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .wps import B_FAMILIES, family_b_instance, family_b_lk_bound
 
@@ -32,16 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     holds: bool
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class DensityCensus:
+class DensityCensus(NamedTuple):
     N: int
     count_A: int
     count_B1: int

@@ -12,12 +12,12 @@ coordinate, so there is no branching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import cqs
-from .cqs import NormalizedCqs
+from .cqs import NormalizedCqs, _validated_make
 from .wps import WpsTriple
 
 NONTORIC_WEIGHT_NOTE = (
@@ -29,40 +29,51 @@ class NotASolution(ValueError):
     """Input triple fails its defining Markov-type equation."""
 
 
-@dataclass(frozen=True)
-class MarkovTriple:
+class _MarkovTripleFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.a <= self.b <= self.c):
-            raise ValueError(f"need 1 <= a <= b <= c, got {(self.a, self.b, self.c)}")
-        if self.a**2 + self.b**2 + self.c**2 != 3 * self.a * self.b * self.c:
-            raise NotASolution(f"{(self.a, self.b, self.c)} fails a^2+b^2+c^2 = 3abc")
+
+class MarkovTriple(_MarkovTripleFields):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> MarkovTriple:
+        if not (1 <= a <= b <= c):
+            raise ValueError(f"need 1 <= a <= b <= c, got {(a, b, c)}")
+        if a**2 + b**2 + c**2 != 3 * a * b * c:
+            raise NotASolution(f"{(a, b, c)} fails a^2+b^2+c^2 = 3abc")
+        return super().__new__(cls, a, b, c)
+
+    _make = classmethod(_validated_make)
 
     @property
     def entries(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class GenSolution:
+class _GenSolutionFields(NamedTuple):
     n: int
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or not (1 <= self.x <= self.y):
-            raise ValueError(f"need n >= 1 and 1 <= x <= y, got {(self.n, self.x, self.y)}")
-        if self.n + self.x**2 + self.y**2 != (self.n + 2) * self.x * self.y:
-            raise NotASolution(f"(x,y)={(self.x, self.y)} fails n+x^2+y^2 = (n+2)xy at n={self.n}")
-        if gcd(gcd(self.n, self.x), self.y) != 1:
-            raise ValueError(f"gcd(n,x,y) must be 1, got {(self.n, self.x, self.y)}")
+
+class GenSolution(_GenSolutionFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, y: int) -> GenSolution:
+        if n < 1 or not (1 <= x <= y):
+            raise ValueError(f"need n >= 1 and 1 <= x <= y, got {(n, x, y)}")
+        if n + x**2 + y**2 != (n + 2) * x * y:
+            raise NotASolution(f"(x,y)={(x, y)} fails n+x^2+y^2 = (n+2)xy at n={n}")
+        if gcd(gcd(n, x), y) != 1:
+            raise ValueError(f"gcd(n,x,y) must be 1, got {(n, x, y)}")
+        return super().__new__(cls, n, x, y)
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class CentralFiberCandidate:
+class CentralFiberCandidate(NamedTuple):
     """Descriptor of a possible central fiber of a degeneration of P(1,1,n).
 
     Candidates are descriptors only (basket plus invariants shared by all

@@ -10,12 +10,12 @@ final degeneration verdict) reduces to exact arithmetic on those germs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
+from typing import NamedTuple
 
 from . import cqs
 from .cqs import (
@@ -23,6 +23,7 @@ from .cqs import (
     CqsGerm,
     NormalizedCqs,
     TData,
+    _validated_make,
     normalize,
 )
 
@@ -31,17 +32,23 @@ ONE_SIXTH = Fraction(1, 6)
 _INDEX_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 
 
-@dataclass(frozen=True)
-class WpsTriple:
-    """Weights of P(a,b,c); raw order is preserved for reporting."""
-
+class _WpsTripleFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c) < 1:
-            raise ValueError(f"weights must be positive, got {self.weights}")
+
+class WpsTriple(_WpsTripleFields):
+    """Weights of P(a,b,c); raw order is preserved for reporting."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> WpsTriple:
+        if min(a, b, c) < 1:
+            raise ValueError(f"weights must be positive, got {(a, b, c)}")
+        return super().__new__(cls, a, b, c)
+
+    _make = classmethod(_validated_make)
 
     @property
     def weights(self) -> tuple[int, int, int]:
@@ -53,8 +60,7 @@ class WpsTriple:
         return gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(NamedTuple):
     """Full classification of one torus-fixed point of the plane."""
 
     weight: int
@@ -75,16 +81,14 @@ class PointReport:
         return self.weight == 1
 
 
-@dataclass(frozen=True)
-class FamilyAWitness:
+class FamilyAWitness(NamedTuple):
     """Permutation (a',b',c') of the weights with b' + c' divisible by a'."""
 
     permutation: tuple[int, int, int]
     indices: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class FamilyBWitness:
+class FamilyBWitness(NamedTuple):
     """Match of a weight permutation against one exceptional family.
 
     instantiate() rebuilds the parameterized triple, which must equal
@@ -141,8 +145,7 @@ class Outcome(Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     """One structured cause keeping a plane out of the no-degenerations regime."""
 
     kind: str  # not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth
@@ -151,8 +154,7 @@ class Reason:
     family_b: FamilyBWitness | None = None
 
 
-@dataclass(frozen=True)
-class ComplementHypotheses:
+class ComplementHypotheses(NamedTuple):
     """Hypothesis report for the one-complement criterion on degenerations.
 
     Picard-rank-one toricity is an input assumption for a genuine weighted
@@ -166,8 +168,7 @@ class ComplementHypotheses:
     no_basket_points: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The decision, with the classified fixed points it was made from
     (None when the plane is not well-formed) and the family witnesses,
     which are found for every plane."""
@@ -180,8 +181,7 @@ class Verdict:
     family_b: FamilyBWitness | None
 
 
-@dataclass(frozen=True)
-class WpsReport:
+class WpsReport(NamedTuple):
     """Everything the CLI shows for one plane."""
 
     triple: WpsTriple

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import io
 import json
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenscope import cli, density
+from degenscope import cli, cqs, density, wps
 from degenscope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_IO_FAILURE,
@@ -204,8 +203,8 @@ class TestDensityCommand:
 
         def failing_census(N):
             c = real_census(N)
-            failed = dataclasses.replace(c.bound_checks[-1], holds=False)
-            return dataclasses.replace(c, bound_checks=(*c.bound_checks[:-1], failed))
+            failed = c.bound_checks[-1]._replace(holds=False)
+            return c._replace(bound_checks=(*c.bound_checks[:-1], failed))
 
         monkeypatch.setattr(density, "census", failing_census)
         b = failing_census(7).bound_checks[-1]
@@ -392,6 +391,36 @@ class TestJobs:
         assert multiprocessing.active_children() == []
 
 
+class TestStartup:
+    def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(self):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from degenscope import cli\n"
+            "assert cli.main(['cqs', '1', '1', '1']) == 0\n"
+            "loaded = {'dataclasses', 'multiprocessing'} & (set(sys.modules) - before)\n"
+            "assert not loaded, sorted(loaded)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["smooth"] is True
+
+    def test_scan_with_two_jobs_forks_a_real_pool(self, capsys, monkeypatch):
+        contexts = []
+        real_get_context = cli.get_context
+
+        def recording_get_context(method):
+            contexts.append(real_get_context(method))
+            return contexts[-1]
+
+        monkeypatch.setattr(cli, "get_context", recording_get_context)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, _ = run_cli(capsys, "--jobs", "2", "--quiet", "scan", "6")
+        assert code == EXIT_OK and out == ""
+        assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
+        assert multiprocessing.active_children() == []
+
+
 class TestFlagPlacement:
     def test_global_flags_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "3", "--jobs", "2", "--quiet")
@@ -467,7 +496,17 @@ class TestPrettyWriter:
         env = {"result": {"point": {"chain": chain, "dual_chain": list(chain)}}}
         assert dumps_envelope(env) == indent2_oracle(env)
 
-    @pytest.mark.parametrize("leaf", [1.5, Fraction(1, 2), float("nan")])
+    @pytest.mark.parametrize(
+        "leaf",
+        [
+            1.5,
+            Fraction(1, 2),
+            float("nan"),
+            # Value objects are tuples, but never JSON arrays.
+            cqs.CqsGerm(5, 1, 2),
+            wps.degeneration_verdict(wps.WpsTriple(1, 3, 4)),
+        ],
+    )
     def test_other_types_raise(self, leaf):
         for obj in (leaf, [leaf], [1, leaf], {"a": leaf}, (leaf,)):
             with pytest.raises(TypeError):
