@@ -47,25 +47,17 @@ REASON_EXPLANATIONS = {
 
 
 def frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return cqs.ratio_str(f.numerator, f.denominator)
 
 
 def frac_decimal(f: Fraction, digits: int = 12) -> str:
     """Deterministic decimal rendering with integer arithmetic only."""
-    sign = "-" if f.numerator < 0 else ""
-    n, d = abs(f.numerator), f.denominator
-    whole, rem = divmod(n, d)
-    if rem == 0:
-        return f"{sign}{whole}"
-    scaled = rem * 10**digits // d
-    tail = str(scaled).rjust(digits, "0").rstrip("0")
-    return f"{sign}{whole}.{tail}"
+    return cqs.ratio_decimal(f.numerator, f.denominator, digits)
 
 
 def frac_fields(name: str, f: Fraction) -> dict[str, str]:
-    return {name: frac_str(f), f"{name}_decimal": frac_decimal(f)}
+    n, d = f.numerator, f.denominator
+    return {name: cqs.ratio_str(n, d), f"{name}_decimal": cqs.ratio_decimal(n, d)}
 
 
 def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: list[str]) -> dict:
@@ -78,6 +70,11 @@ def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: l
     }
 
 
+# The encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
+# builds for every call, built once.
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps_envelope(env: dict, compact: bool = False) -> str:
     """The envelope as compact JSON, or as the exact bytes of
     `json.dumps(env, ensure_ascii=False, indent=2)`.
@@ -87,7 +84,7 @@ def dumps_envelope(env: dict, compact: bool = False) -> str:
     list of plain ints, such as an m-1 entry Du Val chain, in one call.
     """
     if compact:
-        return json.dumps(env, ensure_ascii=False, separators=(",", ":"))
+        return _COMPACT.encode(env)
     pieces: list[str] = []
     _pretty_pieces(env, "\n", pieces)
     return "".join(pieces)
@@ -206,10 +203,12 @@ def _family_b_payload(w: wps.FamilyBWitness) -> dict[str, Any]:
     }
 
 
-def reason_payload(reason: wps.Reason, explain: bool = False) -> dict:
+def reason_payload(reason: wps.Reason, explain: bool = False, mld: dict | None = None) -> dict:
+    """The reason's fields; `mld`, the plane's mld fields when the caller has
+    them rendered already, stands in for rendering `reason.mld` again."""
     out: dict[str, Any] = {"kind": reason.kind}
     if reason.mld is not None:
-        out.update(frac_fields("mld", reason.mld))
+        out.update(mld or frac_fields("mld", reason.mld))
     if reason.family_a is not None:
         out.update(_family_a_payload(reason.family_a))
     if reason.family_b is not None:
@@ -290,12 +289,17 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
 
 
 def _record_payload(p: WpsTriple, explain: bool) -> dict:
+    """One scan record.  The plane's mld fields are the lowest point's germ
+    record's, rendered once per germ; a `mld_at_least_one_sixth` reason
+    carries the same value and reuses them."""
     verdict = wps.degeneration_verdict(p)
+    low = wps.lowest_germ(verdict.points)
+    mld = {"mld": low.mld_text, "mld_decimal": low.mld_decimal}
     return {
         "triple": list(p.weights),
         "verdict": verdict.outcome.value,
-        "reasons": [reason_payload(r, explain) for r in verdict.reasons],
-        **frac_fields("mld", wps.wps_mld(verdict.points)),
+        "reasons": [reason_payload(r, explain, mld) for r in verdict.reasons],
+        **mld,
         **frac_fields("k2", wps.k2(p)),
     }
 

@@ -4,7 +4,8 @@ A germ 1/m(w1,w2) is the quotient of C^2 by the Z/m action with weights
 (w1,w2).  Everything here is exact integer / rational arithmetic: normal
 forms 1/m(1,q), Hirzebruch-Jung chains, T- and Wahl-singularity
 recognition, Milnor correction terms, Q-Gorenstein rigidity, basket
-pattern membership, and minimal log discrepancies.
+pattern membership, and minimal log discrepancies, with the exact and
+decimal texts the payloads print for a rational.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ __all__ = [
     "TData",
     "BasketTag",
     "SMOOTH",
+    "normal_form",
     "normalize",
+    "ratio_str",
+    "ratio_decimal",
     "hj_expand",
     "hj_eval",
     "reverse_type",
@@ -47,6 +51,11 @@ def _validated_make(cls, fields):
     return cls(*fields)
 
 
+# Builds an instance once `__new__` has validated its fields, without a
+# second call through the NamedTuple's generated `__new__`.
+_tuple_new = tuple.__new__
+
+
 class _CqsGermFields(NamedTuple):
     m: int
     w1: int
@@ -63,10 +72,10 @@ class CqsGerm(_CqsGermFields):
             raise ValueError(f"order must be >= 1, got {m}")
         w1 %= m
         w2 %= m
-        for w in (w1, w2):
-            if gcd(w, m) != 1:
-                raise ValueError(f"1/{m}({w1},{w2}): weight {w} is not a unit mod {m}")
-        return super().__new__(cls, m, w1, w2)
+        if gcd(w1, m) != 1 or gcd(w2, m) != 1:
+            w = w1 if gcd(w1, m) != 1 else w2
+            raise ValueError(f"1/{m}({w1},{w2}): weight {w} is not a unit mod {m}")
+        return _tuple_new(cls, (m, w1, w2))
 
     _make = classmethod(_validated_make)
 
@@ -161,11 +170,35 @@ class BasketTag(NamedTuple):
     param: int
 
 
+@lru_cache(maxsize=65536)
+def normal_form(m: int, q: int) -> NormalizedCqs:
+    """The validated `NormalizedCqs(m, q)`, built once per germ and cached."""
+    return NormalizedCqs(m, q)
+
+
 def normalize(germ: CqsGerm) -> NormalizedCqs:
     """Normal form 1/m(1,q) of 1/m(w1,w2), via q = w1^-1 * w2 mod m."""
-    if germ.m == 1:
+    m, w1, w2 = germ
+    if m == 1:
         return SMOOTH
-    return NormalizedCqs(germ.m, (pow(germ.w1, -1, germ.m) * germ.w2) % germ.m)
+    return normal_form(m, pow(w1, -1, m) * w2 % m)
+
+
+def ratio_str(n: int, d: int) -> str:
+    """Exact text of the rational n/d, given in lowest terms with d > 0:
+    "n/d", or "n" when d == 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def ratio_decimal(n: int, d: int, digits: int = 12) -> str:
+    """Advisory decimal of n/d (d > 0), truncated toward zero to `digits`
+    places without trailing zeros, by integer arithmetic only."""
+    sign = "-" if n < 0 else ""
+    whole, rem = divmod(abs(n), d)
+    if rem == 0:
+        return f"{sign}{whole}"
+    tail = str(rem * 10**digits // d).rjust(digits, "0").rstrip("0")
+    return f"{sign}{whole}.{tail}"
 
 
 def hj_expand(m: int, q: int) -> tuple[int, ...]:

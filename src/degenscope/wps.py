@@ -23,6 +23,7 @@ from .cqs import (
     CqsGerm,
     NormalizedCqs,
     TData,
+    _tuple_new,
     _validated_make,
     normalize,
 )
@@ -46,7 +47,7 @@ class WpsTriple(_WpsTripleFields):
     def __new__(cls, a: int, b: int, c: int) -> WpsTriple:
         if min(a, b, c) < 1:
             raise ValueError(f"weights must be positive, got {(a, b, c)}")
-        return super().__new__(cls, a, b, c)
+        return _tuple_new(cls, (a, b, c))
 
     _make = classmethod(_validated_make)
 
@@ -79,6 +80,33 @@ class PointReport(NamedTuple):
     @property
     def smooth(self) -> bool:
         return self.weight == 1
+
+
+class GermRecord(NamedTuple):
+    """One normal form 1/m(1,q), classified once and cached by `_point_core`.
+
+    The first ten fields are the classification fields of a PointReport,
+    in its order; the mld is also held as its integer numerator over m, for
+    decisions by cross-multiplying, and in the two renderings of the payload.
+    """
+
+    normalized: NormalizedCqs
+    chain: tuple[int, ...]
+    t_data: TData | None
+    mu: int | None
+    rigid: bool
+    rigid_k: int | None
+    rigid_r: int | None
+    gorenstein_index: int
+    baskets: frozenset[BasketTag]
+    mld: Fraction
+    mld_u: int  # mld == mld_u / normalized.m, not reduced
+    mld_text: str
+    mld_decimal: str
+
+
+# How many leading GermRecord fields a PointReport repeats after weight and germ.
+_SHARED_FIELDS = len(PointReport._fields) - 2
 
 
 class FamilyAWitness(NamedTuple):
@@ -140,6 +168,17 @@ def family_b_lk_bound(family: str, n: int) -> int:
     return _b_at(family, n)[2]
 
 
+@lru_cache(maxsize=4096)
+def _b_roles(e: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """Per family of _B_TABLE, in table order: (n, base, bound) when the
+    weight e is that family's e = s*n - o for some n >= 2, else None."""
+    roles = []
+    for family, (s, o, _, _, _, _) in _B_TABLE.items():
+        n, rem = divmod(e + o, s)
+        roles.append(None if rem or n < 2 else (n, *_b_at(family, n)[1:]))
+    return tuple(roles)
+
+
 class Outcome(Enum):
     NO_NONTRIVIAL_DEGENERATIONS = "NoNontrivialDegenerations"
     OUT_OF_SCOPE = "OutOfScope"
@@ -195,13 +234,36 @@ class WpsReport(NamedTuple):
     verdict: Verdict
 
 
+_SMOOTH_RECORD = GermRecord(
+    normalized=cqs.SMOOTH,
+    chain=(),
+    t_data=None,
+    mu=None,
+    rigid=True,
+    rigid_k=None,
+    rigid_r=None,
+    gorenstein_index=1,
+    baskets=frozenset(),
+    mld=cqs.SMOOTH_MLD,
+    mld_u=2,
+    mld_text="2",
+    mld_decimal="2",
+)
+
+
 @lru_cache(maxsize=65536)
-def _point_core(m: int, q: int):
-    s = NormalizedCqs(m, q)
+def _point_core(m: int, q: int) -> GermRecord:
+    """The record of the germ 1/m(1,q); (1, 0) is the smooth point."""
+    if m == 1:
+        return _SMOOTH_RECORD
+    s = cqs.normal_form(m, q)
     chain = cqs.hj_expand(m, q)
     t = cqs.classify_t(s)
     rigid, k, r = cqs.is_qg_rigid(s)
-    return (
+    mld = cqs.mld_normalized(s)
+    n, d = mld.numerator, mld.denominator
+    return GermRecord(
+        s,
         chain,
         t,
         None if t is None else t.d - 1,
@@ -210,6 +272,10 @@ def _point_core(m: int, q: int):
         r,
         cqs.gorenstein_index(s),
         cqs.basket_membership(chain),
+        mld,
+        n * (m // d),
+        cqs.ratio_str(n, d),
+        cqs.ratio_decimal(n, d),
     )
 
 
@@ -217,36 +283,27 @@ def point_report(weight: int, other1: int, other2: int) -> PointReport:
     """Classify the germ 1/weight(other1, other2); weight 1 reports smooth."""
     germ = CqsGerm(weight, other1, other2)
     if weight == 1:
-        return PointReport(
-            weight=1,
-            germ=germ,
-            normalized=cqs.SMOOTH,
-            chain=(),
-            t_data=None,
-            mu=None,
-            rigid=True,
-            rigid_k=None,
-            rigid_r=None,
-            gorenstein_index=1,
-            baskets=frozenset(),
-            mld=cqs.SMOOTH_MLD,
-        )
-    s = normalize(germ)
-    chain, t, mu, rigid, k, r, gindex, tags = _point_core(s.m, s.q)
-    return PointReport(
-        weight=weight,
-        germ=germ,
-        normalized=s,
-        chain=chain,
-        t_data=t,
-        mu=mu,
-        rigid=rigid,
-        rigid_k=k,
-        rigid_r=r,
-        gorenstein_index=gindex,
-        baskets=tags,
-        mld=cqs.mld_normalized(s),
-    )
+        rec = _SMOOTH_RECORD
+    else:
+        s = normalize(germ)
+        rec = _point_core(s.m, s.q)
+    return _tuple_new(PointReport, (weight, germ, *rec[:_SHARED_FIELDS]))
+
+
+def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
+    """The record of the fixed point of least mld, the first one on a tie.
+
+    Each mld is u/m with u = `mld_u`, so the minimum is found by
+    cross-multiplying integers, not by comparing Fractions."""
+    best = None
+    for pt in points:
+        s = pt.normalized
+        rec = _point_core(s.m, s.q)
+        if best is None or rec.mld_u * best_m < best.mld_u * s.m:
+            best, best_m = rec, s.m
+    if best is None:
+        raise ValueError("no fixed points to take the least mld of")
+    return best
 
 
 def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport]:
@@ -285,14 +342,14 @@ def noether_check(
 def wps_mld(points: tuple[PointReport, ...]) -> Fraction:
     """Exact minimal log discrepancy of a plane: min over its classified
     fixed points."""
-    return min(pt.mld for pt in points)
+    return lowest_germ(points).mld
 
 
 def wps_mld_below(points: tuple[PointReport, ...], threshold: Fraction = ONE_SIXTH) -> bool:
     """Exact decision mld(P(a,b,c)) < threshold from the plane's classified
-    fixed points: the plane's mld is their minimum, so one point below the
-    threshold decides."""
-    return any(cqs.mld_less_than(pt.normalized, threshold) for pt in points)
+    fixed points: the plane's mld is their minimum, so one `mld_less_than`
+    call on the lowest point decides (for 1/6, whether 6*u < m)."""
+    return cqs.mld_less_than(lowest_germ(points).normalized, threshold)
 
 
 def family_A_member(p: WpsTriple) -> FamilyAWitness | None:
@@ -313,29 +370,22 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     """Match against the exceptional families B1 < B2 < B3, first hit wins;
     permutations are tried in lexicographic index order.
 
-    Each family solves n once per weight, for that weight as e; a
-    permutation then needs l = (a'-1)/e and k = (b'-base)/e exactly,
-    both inside the family's bound."""
+    Each weight's roles as some family's e are solved once and cached
+    (`_b_roles`); a permutation then needs l = (a'-1)/e and k = (b'-base)/e
+    exactly, both inside the family's bound."""
     w = p.weights
-    for family, (s, o, _, _, _, _) in _B_TABLE.items():
-        ns = []
-        for e in w:
-            n, rem = divmod(e + o, s)
-            ns.append(0 if rem or n < 2 else n)
-        if not any(ns):
-            continue
+    roles = (_b_roles(w[0]), _b_roles(w[1]), _b_roles(w[2]))
+    for f, family in enumerate(B_FAMILIES):
         for idx in _INDEX_PERMUTATIONS:
-            n = ns[idx[2]]
-            if not n:
+            role = roles[idx[2]][f]
+            if role is None:
                 continue
-            e, base, bound = _b_at(family, n)
-            ap, bp = w[idx[0]], w[idx[1]]
+            n, base, bound = role
+            ap, bp, e = w[idx[0]], w[idx[1]], w[idx[2]]
             l, rem_l = divmod(ap - 1, e)
             k, rem_k = divmod(bp - base, e)
             if rem_l == rem_k == 0 and 0 <= l < bound and 0 <= k < bound:
-                return FamilyBWitness(
-                    family=family, n=n, l=l, k=k, permutation=(ap, bp, e), indices=idx
-                )
+                return FamilyBWitness(family, n, l, k, (ap, bp, e), idx)
     return None
 
 

@@ -17,7 +17,9 @@ rewritten.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -25,6 +27,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
 OUT = "records.out"
 
@@ -66,10 +69,11 @@ CASES: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def run_case(argv: tuple[str, ...], workdir: Path) -> tuple[bytes, bytes | None]:
+def run_case(argv: tuple[str, ...], workdir: Path, out: str = OUT) -> tuple[bytes, bytes | None]:
     """Run one command in `workdir`; its exit status must be 0.
 
-    Returns its stdout and the bytes of its `--out` file, or None.
+    Returns its stdout and the bytes of its `--out` file `out`, or None
+    when the argv does not name it.
     """
     from degenscope import cli
 
@@ -82,8 +86,8 @@ def run_case(argv: tuple[str, ...], workdir: Path) -> tuple[bytes, bytes | None]
     finally:
         os.chdir(cwd)
     assert code == 0
-    out_file = workdir / OUT
-    return buf.getvalue().encode("utf-8"), out_file.read_bytes() if OUT in argv else None
+    out_file = workdir / out
+    return buf.getvalue().encode("utf-8"), out_file.read_bytes() if out in argv else None
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -93,6 +97,24 @@ def test_golden_output(name, argv, tmp_path):
     if out_bytes is not None:
         assert out_bytes == (GOLDEN / f"{name}.outfile").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ([OUT] if OUT in argv else [])
+
+
+# The benchmark's scan_box command and its CSV twin, in the argv spelling
+# bench/digests.json keys them by; the digests are read here, never written.
+BENCH_SCAN_OUT = ".bench_out/tmp/scan.out"
+BENCH_SCANS = (
+    ("--jobs", "1", "scan", "60", "--out", BENCH_SCAN_OUT),
+    ("--jobs", "1", "--csv", "scan", "60", "--out", BENCH_SCAN_OUT),
+)
+
+
+@pytest.mark.parametrize("argv", BENCH_SCANS, ids=["scan_box", "scan_box_csv"])
+def test_scan_bytes_match_benchmark_digests(argv, tmp_path):
+    want = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))[" ".join(argv)]
+    (tmp_path / BENCH_SCAN_OUT).parent.mkdir(parents=True)
+    stdout, out_bytes = run_case(argv, tmp_path, BENCH_SCAN_OUT)
+    assert hashlib.sha256(stdout).hexdigest() == want["stdout"]
+    assert hashlib.sha256(out_bytes).hexdigest() == want["out"]
 
 
 def _record_missing() -> None:

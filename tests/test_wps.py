@@ -300,21 +300,23 @@ class TestAnalyze:
 
 
 class TestOnePass:
-    """The verdict classifies the three fixed points and checks each family
-    once per plane; the scan and the full report reuse that pass."""
+    """The verdict classifies the three fixed points, checks each family and
+    decides the 1/6 test (one `mld_less_than`, on the lowest point) once per
+    plane; the scan and the full report reuse that pass."""
 
-    COUNTED = ("singular_points", "family_A_member", "family_B_member")
+    COUNTED = ("singular_points", "family_A_member", "family_B_member", "mld_less_than")
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = dict.fromkeys(self.COUNTED, 0)
         for name in self.COUNTED:
+            module = cqs if name == "mld_less_than" else wps
 
-            def counted(*args, _fn=getattr(wps, name), _name=name, **kwargs):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(wps, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.mark.parametrize("weights", [(4, 25, 841), (1, 5, 8), (1, 1, 1), (2, 3, 7)])
@@ -326,6 +328,7 @@ class TestOnePass:
         lines = []
         records = cli.run_scan(12, lines.append)
         assert records == len(lines) > 0
+        # Every scanned triple is well-formed: one mld_less_than per plane.
         assert calls == dict.fromkeys(self.COUNTED, records)
 
     def test_analyze(self, calls):
@@ -334,10 +337,16 @@ class TestOnePass:
         assert rep.points is rep.verdict.points
         assert calls["family_A_member"] == 1
         assert calls["family_B_member"] == 1
+        assert calls["mld_less_than"] == 1
 
     def test_analyze_not_well_formed_keeps_family_a(self, calls):
         rep = analyze(WpsTriple(2, 4, 6))
-        assert calls == {"singular_points": 0, "family_A_member": 1, "family_B_member": 1}
+        assert calls == {
+            "singular_points": 0,
+            "family_A_member": 1,
+            "family_B_member": 1,
+            "mld_less_than": 0,
+        }
         assert rep.family_a is not None
         assert (rep.family_a.permutation, rep.family_a.indices) == ((2, 4, 6), (0, 1, 2))
         assert [r.kind for r in rep.verdict.reasons] == ["not_well_formed"]
