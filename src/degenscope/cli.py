@@ -296,7 +296,7 @@ def _record_payload(p: WpsTriple, explain: bool) -> dict:
     low = wps.lowest_germ(verdict.points)
     mld = {"mld": low.mld_text, "mld_decimal": low.mld_decimal}
     return {
-        "triple": list(p.weights),
+        "triple": list(p),
         "verdict": verdict.outcome.value,
         "reasons": [reason_payload(r, explain, mld) for r in verdict.reasons],
         **mld,
@@ -387,14 +387,25 @@ def _atomic_line_writer(path: str):
     file at `path` untouched and no partial file behind."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with fh:
             yield lambda line: fh.write(line + "\n")
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _naming(exc, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """`exc` naming the file the user asked for, not the temporary one."""
+    return OSError(exc.errno, exc.strerror, path)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import cqs
@@ -57,36 +58,15 @@ class WpsTriple(_WpsTripleFields):
 
     @property
     def well_formed(self) -> bool:
-        a, b, c = self.weights
+        a, b, c = self
         return gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1
-
-
-class PointReport(NamedTuple):
-    """Full classification of one torus-fixed point of the plane."""
-
-    weight: int
-    germ: CqsGerm
-    normalized: NormalizedCqs
-    chain: tuple[int, ...]
-    t_data: TData | None
-    mu: int | None
-    rigid: bool
-    rigid_k: int | None
-    rigid_r: int | None
-    gorenstein_index: int
-    baskets: frozenset[BasketTag]
-    mld: Fraction
-
-    @property
-    def smooth(self) -> bool:
-        return self.weight == 1
 
 
 class GermRecord(NamedTuple):
     """One normal form 1/m(1,q), classified once and cached by `_point_core`.
 
-    The first ten fields are the classification fields of a PointReport,
-    in its order; the mld is also held as its integer numerator over m, for
+    The first ten fields are the classification fields a PointReport reads
+    through; the mld is also held as its integer numerator over m, for
     decisions by cross-multiplying, and in the two renderings of the payload.
     """
 
@@ -105,8 +85,29 @@ class GermRecord(NamedTuple):
     mld_decimal: str
 
 
-# How many leading GermRecord fields a PointReport repeats after weight and germ.
-_SHARED_FIELDS = len(PointReport._fields) - 2
+class PointReport(NamedTuple):
+    """Full classification of one torus-fixed point of the plane: its weight,
+    its germ, and the cached record of the germ's normal form, whose ten
+    classification fields read through as properties."""
+
+    weight: int
+    germ: CqsGerm
+    record: GermRecord
+
+    normalized = property(attrgetter("record.normalized"))
+    chain = property(attrgetter("record.chain"))
+    t_data = property(attrgetter("record.t_data"))
+    mu = property(attrgetter("record.mu"))
+    rigid = property(attrgetter("record.rigid"))
+    rigid_k = property(attrgetter("record.rigid_k"))
+    rigid_r = property(attrgetter("record.rigid_r"))
+    gorenstein_index = property(attrgetter("record.gorenstein_index"))
+    baskets = property(attrgetter("record.baskets"))
+    mld = property(attrgetter("record.mld"))
+
+    @property
+    def smooth(self) -> bool:
+        return self.weight == 1
 
 
 class FamilyAWitness(NamedTuple):
@@ -169,14 +170,22 @@ def family_b_lk_bound(family: str, n: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _b_roles(e: int) -> tuple[tuple[int, int, int] | None, ...]:
-    """Per family of _B_TABLE, in table order: (n, base, bound) when the
-    weight e is that family's e = s*n - o for some n >= 2, else None."""
-    roles = []
-    for family, (s, o, _, _, _, _) in _B_TABLE.items():
+def _b_role(e: int) -> tuple[int, str, int, int, int] | None:
+    """(family index, family, n, base, bound) of the _B_TABLE family whose
+    e = s*n - o equals the weight e for some n >= 2, else None.
+
+    At most one family fits: B1's e is 0 mod 4, B2's is 1 mod 6 and B3's is
+    5 mod 6."""
+    for f, (family, (s, o, _, _, _, _)) in enumerate(_B_TABLE.items()):
         n, rem = divmod(e + o, s)
-        roles.append(None if rem or n < 2 else (n, *_b_at(family, n)[1:]))
-    return tuple(roles)
+        if rem == 0 and n >= 2:
+            return (f, family, n, *_b_at(family, n)[1:])
+    return None
+
+
+# Per position i of the weights, the two index permutations that put it
+# last (as e), in lexicographic order.
+_E_LAST = (((1, 2, 0), (2, 1, 0)), ((0, 2, 1), (2, 0, 1)), ((0, 1, 2), (1, 0, 2)))
 
 
 class Outcome(Enum):
@@ -281,13 +290,21 @@ def _point_core(m: int, q: int) -> GermRecord:
 
 def point_report(weight: int, other1: int, other2: int) -> PointReport:
     """Classify the germ 1/weight(other1, other2); weight 1 reports smooth."""
-    germ = CqsGerm(weight, other1, other2)
+    return _fixed_point(*CqsGerm(weight, other1, other2))
+
+
+def _fixed_point(weight: int, other1: int, other2: int) -> PointReport:
+    """`point_report` for a germ whose weights are already known to be
+    units mod `weight`, such as a fixed point of a well-formed plane (the
+    other two weights are coprime to this one): the germ is built without
+    checking that again."""
+    germ = _tuple_new(CqsGerm, (weight, other1 % weight, other2 % weight))
     if weight == 1:
         rec = _SMOOTH_RECORD
     else:
         s = normalize(germ)
         rec = _point_core(s.m, s.q)
-    return _tuple_new(PointReport, (weight, germ, *rec[:_SHARED_FIELDS]))
+    return _tuple_new(PointReport, (weight, germ, rec))
 
 
 def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
@@ -297,10 +314,10 @@ def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
     cross-multiplying integers, not by comparing Fractions."""
     best = None
     for pt in points:
-        s = pt.normalized
-        rec = _point_core(s.m, s.q)
-        if best is None or rec.mld_u * best_m < best.mld_u * s.m:
-            best, best_m = rec, s.m
+        rec = pt.record
+        m = rec.normalized.m
+        if best is None or rec.mld_u * best_m < best.mld_u * m:
+            best, best_m = rec, m
     if best is None:
         raise ValueError("no fixed points to take the least mld of")
     return best
@@ -311,15 +328,15 @@ def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport
 
     Weight-1 points report smooth.
     """
+    a, b, c = p
     if not p.well_formed:
-        raise ValueError(f"P{p.weights} is not well-formed (weights not pairwise coprime)")
-    a, b, c = p.weights
-    return (point_report(a, b, c), point_report(b, a, c), point_report(c, a, b))
+        raise ValueError(f"P{(a, b, c)} is not well-formed (weights not pairwise coprime)")
+    return (_fixed_point(a, b, c), _fixed_point(b, a, c), _fixed_point(c, a, b))
 
 
 def k2(p: WpsTriple) -> Fraction:
     """Canonical self-intersection (a+b+c)^2 / (abc), exact."""
-    a, b, c = p.weights
+    a, b, c = p
     return Fraction((a + b + c) ** 2, a * b * c)
 
 
@@ -358,9 +375,8 @@ def family_A_member(p: WpsTriple) -> FamilyAWitness | None:
     Matches planes carrying a Du Val fixed point or a smooth torus-fixed
     point; well-formedness is not required.
     """
-    w = p.weights
     for idx in _INDEX_PERMUTATIONS:
-        ap, bp, cp = w[idx[0]], w[idx[1]], w[idx[2]]
+        ap, bp, cp = p[idx[0]], p[idx[1]], p[idx[2]]
         if (bp + cp) % ap == 0:
             return FamilyAWitness(permutation=(ap, bp, cp), indices=idx)
     return None
@@ -370,34 +386,44 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     """Match against the exceptional families B1 < B2 < B3, first hit wins;
     permutations are tried in lexicographic index order.
 
-    Each weight's roles as some family's e are solved once and cached
-    (`_b_roles`); a permutation then needs l = (a'-1)/e and k = (b'-base)/e
-    exactly, both inside the family's bound."""
-    w = p.weights
-    roles = (_b_roles(w[0]), _b_roles(w[1]), _b_roles(w[2]))
-    for f, family in enumerate(B_FAMILIES):
-        for idx in _INDEX_PERMUTATIONS:
-            role = roles[idx[2]][f]
-            if role is None:
+    A weight is the e of at most one family, cached per weight (`_b_role`),
+    so only the weights with a role are tried as e, each with the two
+    orders of the other two: a permutation needs l = (a'-1)/e and
+    k = (b'-base)/e exactly, both inside the family's bound.  The hit of
+    least (family index, permutation) wins, which is the first hit of the
+    family-major, lexicographic order."""
+    best = None
+    for i, e in enumerate(p):
+        role = _b_role(e)
+        if role is None:
+            continue
+        f, family, n, base, bound = role
+        for idx in _E_LAST[i]:
+            ap = p[idx[0]]
+            l, rem = divmod(ap - 1, e)
+            if rem or l >= bound:
                 continue
-            n, base, bound = role
-            ap, bp, e = w[idx[0]], w[idx[1]], w[idx[2]]
-            l, rem_l = divmod(ap - 1, e)
-            k, rem_k = divmod(bp - base, e)
-            if rem_l == rem_k == 0 and 0 <= l < bound and 0 <= k < bound:
-                return FamilyBWitness(family, n, l, k, (ap, bp, e), idx)
-    return None
+            bp = p[idx[1]]
+            k, rem = divmod(bp - base, e)
+            if rem or not 0 <= k < bound:
+                continue
+            if best is None or (f, idx) < best_key:
+                best_key = (f, idx)
+                best = FamilyBWitness(family, n, l, k, (ap, bp, e), idx)
+            break
+    return best
 
 
 def complement_hypotheses(
-    points: tuple[PointReport, ...], mld_below_one_sixth: bool
+    points: tuple[PointReport, PointReport, PointReport], mld_below_one_sixth: bool
 ) -> ComplementHypotheses:
     """Hypothesis booleans for the one-complement criterion; rank-one
     toricity is recorded as an assumption, never computed."""
+    x, y, z = points
     return ComplementHypotheses(
         toric_picard_rank_one_assumed=True,
         mld_below_one_sixth=mld_below_one_sixth,
-        no_basket_points=all(not pt.baskets for pt in points),
+        no_basket_points=not (x.record.baskets or y.record.baskets or z.record.baskets),
     )
 
 

@@ -246,9 +246,18 @@ class TestScanCommand:
         assert lines[0] == "a,b,c,verdict,reasons,mld,k2"
         assert lines[1].split(",")[:4] == ["1", "1", "1", "OutOfScope"]
 
-    def test_unwritable_out_exit_4(self, capsys):
+    def test_unwritable_out_exit_4(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "scan", "2", "--out", "/nonexistent-dir/x.jsonl")
         assert code == EXIT_IO_FAILURE
+        # The message names the path given, not the hidden temporary file.
+        assert "'/nonexistent-dir/x.jsonl'" in err and ".tmp" not in err
+        # So does a failed rename onto a directory, which leaves nothing behind.
+        target = tmp_path / "d"
+        target.mkdir()
+        code, _, err = run_cli(capsys, "scan", "2", "--out", str(target))
+        assert code == EXIT_IO_FAILURE
+        assert f"'{target}'" in err and ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and list(target.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -72,12 +72,18 @@ def test_records_agree_with_the_primitives():
 
 
 def test_point_reports_repeat_the_record_fields():
-    assert GermRecord._fields[: len(PointReport._fields) - 2] == PointReport._fields[2:]
+    # A point report holds its germ's record; each classification field
+    # reads through to the record field of the same name.
+    shared = GermRecord._fields[:10]
+    assert PointReport._fields == ("weight", "germ", "record")
+    assert shared[0] == "normalized" and shared[-1] == "mld"
     for weight, other1, other2 in [(1, 4, 5), (12, 1, 7), (25, 4, 841), (841, 4, 25), (97, 3, 50)]:
         pt = wps.point_report(weight, other1, other2)
         s = cqs.normalize(CqsGerm(weight, other1, other2))
         assert pt.normalized == s and pt.germ == CqsGerm(weight, other1, other2)
-        assert tuple(pt[2:]) == wps._point_core(s.m, s.q)[: len(pt) - 2]
+        assert pt.record is wps._point_core(s.m, s.q)
+        for name in shared:
+            assert getattr(pt, name) is getattr(pt.record, name), name
 
 
 def test_normal_form_is_cached_and_validated():
@@ -120,6 +126,6 @@ def test_every_lru_cache_is_bounded():
         if isinstance(value, functools._lru_cache_wrapper)
     }
     assert {"degenscope.cqs.normal_form", "degenscope.cqs._mld_normalized"} <= set(caches)
-    assert {"degenscope.wps._point_core", "degenscope.wps._b_roles"} <= set(caches)
+    assert {"degenscope.wps._point_core", "degenscope.wps._b_role"} <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -99,22 +100,35 @@ def test_golden_output(name, argv, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ([OUT] if OUT in argv else [])
 
 
-# The benchmark's scan_box command and its CSV twin, in the argv spelling
-# bench/digests.json keys them by; the digests are read here, never written.
+# The benchmark's commands that reach `wps`, in the argv spelling
+# bench/digests.json keys them by: scan_box, its CSV twin and their
+# `--jobs 2` runs, the six orderings of each Markov-square plane and the
+# two `markov degenerations`.  The digests are read here, never written.
 BENCH_SCAN_OUT = ".bench_out/tmp/scan.out"
+BENCH_MARKOV_PLANES = ((169, 1156, 1755625), (25, 37636, 8392609))
 BENCH_SCANS = (
     ("--jobs", "1", "scan", "60", "--out", BENCH_SCAN_OUT),
     ("--jobs", "1", "--csv", "scan", "60", "--out", BENCH_SCAN_OUT),
+    ("--jobs", "2", "scan", "60", "--out", BENCH_SCAN_OUT),
+    ("--jobs", "2", "--csv", "scan", "60", "--out", BENCH_SCAN_OUT),
+    *(("wps", *map(str, order)) for plane in BENCH_MARKOV_PLANES for order in permutations(plane)),
+    ("markov", "degenerations", "--n", "3", "--bound", "10000"),
+    ("markov", "degenerations", "--n", "5", "--bound", "3000"),
 )
+BENCH_IDS = ["scan_box", "scan_box_csv", "scan_box_jobs2", "scan_box_csv_jobs2"] + [
+    "_".join(argv).replace("-", "") for argv in BENCH_SCANS[4:]
+]
 
 
-@pytest.mark.parametrize("argv", BENCH_SCANS, ids=["scan_box", "scan_box_csv"])
+@pytest.mark.parametrize("argv", BENCH_SCANS, ids=BENCH_IDS)
 def test_scan_bytes_match_benchmark_digests(argv, tmp_path):
     want = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))[" ".join(argv)]
     (tmp_path / BENCH_SCAN_OUT).parent.mkdir(parents=True)
     stdout, out_bytes = run_case(argv, tmp_path, BENCH_SCAN_OUT)
     assert hashlib.sha256(stdout).hexdigest() == want["stdout"]
-    assert hashlib.sha256(out_bytes).hexdigest() == want["out"]
+    assert (out_bytes is None) == ("out" not in want)
+    if out_bytes is not None:
+        assert hashlib.sha256(out_bytes).hexdigest() == want["out"]
 
 
 def _record_missing() -> None:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -6,9 +7,10 @@ from math import gcd
 import pytest
 
 from degenscope import cli, cqs, markov, wps
-from degenscope.cqs import NormalizedCqs, same_singularity, wahl
+from degenscope.cqs import CqsGerm, NormalizedCqs, same_singularity, wahl
 from degenscope.wps import (
     Outcome,
+    PointReport,
     WpsTriple,
     analyze,
     degeneration_verdict,
@@ -17,6 +19,7 @@ from degenscope.wps import (
     family_b_instance,
     k2,
     noether_check,
+    point_report,
     singular_points,
     wps_mld,
     wps_mld_below,
@@ -62,6 +65,40 @@ class TestSingularPoints:
         pt = singular_points(WpsTriple(1, 2, 3))[0]
         assert pt.chain == () and pt.baskets == frozenset()
         assert pt.mld == Fraction(2) and pt.gorenstein_index == 1 and pt.rigid
+
+
+class TestTrustedFixedPoints:
+    """`singular_points` builds the germs of a plane it has checked
+    well-formed without checking their units again; `point_report`, which
+    takes any germ, still validates."""
+
+    POINT_ATTRS = PointReport._fields + (
+        "normalized", "chain", "t_data", "mu", "rigid", "rigid_k", "rigid_r",
+        "gorenstein_index", "baskets", "mld", "smooth",
+    )
+
+    def test_not_well_formed_still_raises(self):
+        message = "P(2, 4, 5) is not well-formed (weights not pairwise coprime)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            singular_points(WpsTriple(2, 4, 5))
+
+    def test_point_report_still_validates(self):
+        with pytest.raises(ValueError, match=re.escape("1/4(2,1): weight 2 is not a unit mod 4")):
+            point_report(4, 2, 1)
+
+    def test_fixed_points_equal_validated_reports(self):
+        planes = 0
+        for a, b, c in product(range(1, 31), repeat=3):
+            p = WpsTriple(a, b, c)
+            if not p.well_formed:
+                continue
+            planes += 1
+            for pt, args in zip(singular_points(p), ((a, b, c), (b, a, c), (c, a, b))):
+                ref = point_report(*args)
+                assert pt == ref and type(pt.germ) is CqsGerm, args
+                for name in self.POINT_ATTRS:
+                    assert getattr(pt, name) == getattr(ref, name), (args, name)
+        assert planes == 7798  # ordered pairwise-coprime triples in [1,30]^3
 
 
 class TestK2:
@@ -204,6 +241,30 @@ class TestFamilyB:
         assert family_B_member(WpsTriple(1, 13, 8)) is not None
         w = family_B_member(WpsTriple(17, 13, 8))
         assert w is None or w.family != "B1" or w.permutation[2] != 8
+
+
+class TestBRole:
+    def test_each_weight_has_at_most_one_b_role(self):
+        # The families' e = s*n - o are 0 mod 4 (B1), 1 mod 6 (B2) and
+        # 5 mod 6 (B3), so no weight is the e of two families.
+        rows = list(enumerate(wps._B_TABLE.items()))
+        roles = 0
+        for e in range(1, 10**5 + 1):
+            fits = [
+                (f, family, (e + o) // s)
+                for f, (family, (s, o, *_)) in rows
+                if (e + o) % s == 0 and (e + o) // s >= 2
+            ]
+            assert len(fits) <= 1, (e, fits)
+            role = wps._b_role(e)
+            if not fits:
+                assert role is None, e
+                continue
+            roles += 1
+            f, family, n = fits[0]
+            e_at, base, bound = wps._b_at(family, n)
+            assert e_at == e and role == (f, family, n, base, bound), e
+        assert roles > 0
 
 
 class TestVerdict:
@@ -363,3 +424,42 @@ class TestOnePass:
         pt = wps.point_report(12, 1, 7)
         assert expanded == [(12, 7)]
         assert pt.baskets == cqs.basket_membership(pt.chain)
+
+
+class TestScanBookkeeping:
+    """A warm scan plane builds no `WpsTriple.weights` tuple and no
+    validated `CqsGerm`, and proves coprimality with a bounded number of
+    `gcd` calls: the scan's filter, `well_formed` in the verdict and in
+    `singular_points`, and nothing per germ."""
+
+    MAX_GCD_PER_PLANE = 12
+
+    def test_scan_plane_counts(self, monkeypatch):
+        cli.run_scan(12, lambda line: None)  # warm the germ caches
+        counts = {"weights": 0, "CqsGerm.__new__": 0, "gcd": 0}
+
+        def weights(self, _get=WpsTriple.weights.fget):
+            counts["weights"] += 1
+            return _get(self)
+
+        def germ_new(cls, *args, _new=CqsGerm.__new__):
+            counts["CqsGerm.__new__"] += 1
+            return _new(cls, *args)
+
+        def counted_gcd(*args):
+            counts["gcd"] += 1
+            return gcd(*args)
+
+        monkeypatch.setattr(WpsTriple, "weights", property(weights))
+        monkeypatch.setattr(CqsGerm, "__new__", staticmethod(germ_new))
+        for module in (wps, cli, cqs):
+            monkeypatch.setattr(module, "gcd", counted_gcd)
+        lines = []
+        records = cli.run_scan(12, lines.append)
+        assert records == len(lines) == 91
+        assert counts["weights"] == 0
+        assert counts["CqsGerm.__new__"] == 0
+        assert counts["gcd"] <= self.MAX_GCD_PER_PLANE * records
+        # The guards count: a validated germ is seen.
+        CqsGerm(4, 1, 3)
+        assert counts["CqsGerm.__new__"] == 1
