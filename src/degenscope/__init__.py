@@ -14,6 +14,7 @@ from .cqs import (
     gorenstein_index,
     hj_eval,
     hj_expand,
+    hj_runs,
     is_qg_rigid,
     milnor_mu,
     mld_brute,

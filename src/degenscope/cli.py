@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain as concat, repeat, starmap
 from json.encoder import encode_basestring
 from math import gcd
 from typing import Any
@@ -70,18 +71,39 @@ def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: l
     }
 
 
+class ChainRuns:
+    """A Hirzebruch-Jung chain in a payload, held as its runs ((a, count),
+    ...) from `cqs.hj_runs`: it serializes as the JSON array of its
+    entries, and the pretty writer renders each run with one string repeat,
+    so an A_{m-1} chain costs O(1) string operations plus its bytes."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]) -> None:
+        self.runs = runs
+
+
+def _expand_chain(obj: Any) -> list[int]:
+    # The compact encoder's `default`: it sees only objects that are not
+    # JSON types, and of those only a ChainRuns serializes.
+    if type(obj) is ChainRuns:
+        return list(concat.from_iterable(starmap(repeat, obj.runs)))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 # The encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
-# builds for every call, built once.
-_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# builds for every call, built once, which also expands a ChainRuns.
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_expand_chain)
 
 
 def dumps_envelope(env: dict, compact: bool = False) -> str:
     """The envelope as compact JSON, or as the exact bytes of
-    `json.dumps(env, ensure_ascii=False, indent=2)`.
+    `json.dumps(env, ensure_ascii=False, indent=2)`, a `ChainRuns` written
+    as the array of its entries in either mode.
 
     `json` pretty-prints only through its pure-Python encoder, which costs a
-    call per chain entry; `_pretty_pieces` writes the same bytes and joins a
-    list of plain ints, such as an m-1 entry Du Val chain, in one call.
+    call per array entry; `_pretty_pieces` writes the same bytes and renders
+    a chain run by run, so an m-1 entry Du Val chain takes one string repeat.
     """
     if compact:
         return _COMPACT.encode(env)
@@ -93,7 +115,8 @@ def dumps_envelope(env: dict, compact: bool = False) -> str:
 def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
     """Append the indent-2 JSON pieces of `obj`, nested at the indent that
     `newline` carries, to `pieces`: one list joined once at the top, so a
-    long chain is copied once, not once per nesting level."""
+    long chain is copied once, not once per nesting level.  A run (a, k) of
+    a `ChainRuns` is the one piece `(text + sep) * (k - 1) + text`."""
     if obj is None:
         pieces.append("null")
     elif obj is True:
@@ -113,16 +136,23 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         inner = newline + "  "
         sep = "," + inner
         pieces.append("[" + inner)
-        # Types over the whole sequence, not set(obj): that would merge True
-        # with 1, and a bool must print as true.
-        if set(map(type, obj)) == {int}:
-            texts = {v: int.__repr__(v) for v in set(obj)}
-            pieces.append(sep.join(map(texts.__getitem__, obj)))
-        else:
-            for i, item in enumerate(obj):
-                if i:
-                    pieces.append(sep)
-                _pretty_pieces(item, inner, pieces)
+        for i, item in enumerate(obj):
+            if i:
+                pieces.append(sep)
+            _pretty_pieces(item, inner, pieces)
+        pieces.append(newline + "]")
+    elif type(obj) is ChainRuns:
+        if not obj.runs:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        pieces.append("[" + inner)
+        for i, (a, k) in enumerate(obj.runs):
+            if i:
+                pieces.append(sep)
+            text = int.__repr__(a)
+            pieces.append((text + sep) * (k - 1) + text)
         pieces.append(newline + "]")
     elif type(obj) is dict:
         if not obj:
@@ -155,14 +185,15 @@ def _t_payload(t) -> dict | None:
 def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
     """The fields a point report shares with the cqs command, in order.
 
-    The chains stay tuples, which serialize as JSON arrays: a chain can hold
-    m-1 entries, and the point cache already holds this one.  The pretty
-    writer joins a chain of plain ints in one call (its int fast path).
+    The chains go in as `ChainRuns` of the normal form's O(log m) runs, the
+    dual chain as the same runs reversed: a chain can hold m-1 entries, and
+    neither is copied or reversed entry by entry.
     """
+    runs = cqs.hj_runs(*pt.normalized)
     return {
         "normalized": {"m": pt.normalized.m, "q": pt.normalized.q},
-        "chain": pt.chain,
-        "dual_chain": pt.chain[::-1],
+        "chain": ChainRuns(runs),
+        "dual_chain": ChainRuns(runs[::-1]),
         "t_data": _t_payload(pt.t_data),
         "wahl": pt.t_data is not None and pt.t_data.is_wahl,
         "mu": pt.mu,

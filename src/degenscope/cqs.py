@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain as concat, repeat, starmap
 from math import gcd
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ __all__ = [
     "normalize",
     "ratio_str",
     "ratio_decimal",
+    "hj_runs",
     "hj_expand",
     "hj_eval",
     "reverse_type",
@@ -201,30 +203,39 @@ def ratio_decimal(n: int, d: int, digits: int = 12) -> str:
     return f"{sign}{whole}.{tail}"
 
 
-def hj_expand(m: int, q: int) -> tuple[int, ...]:
-    """Hirzebruch-Jung expansion m/q = [a1,...,ak], each ai >= 2.
+def hj_runs(m: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Hirzebruch-Jung chain of m/q as maximal runs ((a, count), ...).
 
     m/q = a1 - 1/(a2 - 1/(...)), computed by ceiling division, one step per
     run of 2's: while q >= d = m - q the next entry is 2 and (m, q) becomes
-    (m - d, q - d), so a run of q // d twos is one step.  The loop takes
-    O(log m) steps; only filling the tuple is Theta(len(chain)).
+    (m - d, q - d), so a run of q // d twos is one step.  An entry a >= 3
+    at least halves m, and a run of 2's is followed by such an entry, so
+    there are at most 2*log2(m) + 1 runs: A_{m-1} = [2^(m-1)] is one.
     """
     if m == 1 and q == 0:
         return ()
     if not (0 < q < m) or gcd(m, q) != 1:
         raise ValueError(f"need 0 < q < m coprime, got (m,q)=({m},{q})")
-    entries = []
+    runs: list[tuple[int, int]] = []
     while q > 0:
         d = m - q
         if q >= d:
-            twos = q // d
-            entries.extend([2] * twos)
-            m, q = m - twos * d, q - twos * d
+            a, k = 2, q // d
+            m, q = m - k * d, q - k * d
         else:
-            a = -(-m // q)
-            entries.append(a)
+            a, k = -(-m // q), 1
             m, q = q, a * q - m
-    return tuple(entries)
+        if runs and runs[-1][0] == a:
+            k += runs.pop()[1]
+        runs.append((a, k))
+    return tuple(runs)
+
+
+def hj_expand(m: int, q: int) -> tuple[int, ...]:
+    """Hirzebruch-Jung expansion m/q = [a1,...,ak], each ai >= 2: the
+    entries of `hj_runs(m, q)`.  The walk takes O(log m) steps; only
+    filling the tuple, with no list in between, is Theta(len(chain))."""
+    return tuple(concat.from_iterable(starmap(repeat, hj_runs(m, q))))
 
 
 def hj_eval(chain: tuple[int, ...]) -> tuple[int, int]:
@@ -304,29 +315,37 @@ _BASKET_PREFIXES: tuple[tuple[str, str, tuple[int, ...]], ...] = (
     ("F4", "[3,3,2^k]", (3, 3)),
 )
 
-
-def _match_prefix(chain: tuple[int, ...], prefix: tuple[int, ...]) -> int | None:
-    if len(chain) < len(prefix) or chain[: len(prefix)] != prefix:
-        return None
-    tail = chain[len(prefix) :]
-    if any(a != 2 for a in tail):
-        return None
-    return len(tail)
+# Each pattern with its prefix read backwards, for a match at the far end
+# of the chain, and the number of 2's in the prefix.
+_BASKET_ENDS = tuple(
+    (family, pattern, prefix, prefix[::-1], prefix.count(2))
+    for family, pattern, prefix in _BASKET_PREFIXES
+)
 
 
 def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
     """All basket patterns matched by a germ's Hirzebruch-Jung chain
-    (`hj_expand(m, q)`), up to reversal."""
+    (`hj_expand(m, q)`), up to reversal.
+
+    The chain is never copied: a pattern matches when its prefix sits at
+    either end and the other len(chain) - len(prefix) entries are all 2's,
+    which one `chain.count(2)`, taken once some prefix fits, decides.
+    """
     if not chain:
         raise ValueError("basket membership needs a singular germ (non-empty chain)")
+    n = len(chain)
+    twos = None
     tags = set()
-    for c in {chain, chain[::-1]}:
-        for family, pattern, prefix in _BASKET_PREFIXES:
-            k = _match_prefix(c, prefix)
-            if k is not None:
-                tags.add(BasketTag(family, pattern, k))
-        if len(c) == 3 and c[0] == 2 and c[2] == 2:
-            tags.add(BasketTag("D", "[2,n,2]", c[1]))
+    for family, pattern, prefix, backwards, prefix_twos in _BASKET_ENDS:
+        p = len(prefix)
+        if n < p or (chain[:p] != prefix and chain[n - p :] != backwards):
+            continue
+        if twos is None:
+            twos = chain.count(2)
+        if twos - prefix_twos == n - p:
+            tags.add(BasketTag(family, pattern, n - p))
+    if n == 3 and chain[0] == 2 and chain[2] == 2:
+        tags.add(BasketTag("D", "[2,n,2]", chain[1]))
     return frozenset(tags)
 
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -511,21 +513,90 @@ class TestPrettyWriter:
             1.5,
             Fraction(1, 2),
             float("nan"),
+            object(),
             # Value objects are tuples, but never JSON arrays.
             cqs.CqsGerm(5, 1, 2),
             wps.degeneration_verdict(wps.WpsTriple(1, 3, 4)),
         ],
     )
     def test_other_types_raise(self, leaf):
-        for obj in (leaf, [leaf], [1, leaf], {"a": leaf}, (leaf,)):
-            with pytest.raises(TypeError):
-                dumps_envelope(obj)
+        # The compact C encoder writes floats and tuple subclasses as JSON
+        # (no payload holds either); any other type raises there too, also
+        # beside a ChainRuns, the one non-JSON type its `default` expands.
+        compact_too = not isinstance(leaf, (float, tuple))
+        chain = cli.ChainRuns(((2, 3),))
+        for obj in (leaf, [leaf], [1, leaf], {"a": leaf}, (leaf,), [chain, leaf], {"c": chain, "x": leaf}):
+            for compact in (False, True) if compact_too else (False,):
+                with pytest.raises(TypeError, match="is not JSON serializable"):
+                    dumps_envelope(obj, compact=compact)
 
     def test_non_str_keys_raise(self):
         # Payload keys are all str; json.dumps would coerce these silently.
         for key in (1, None, True):
             with pytest.raises(TypeError):
                 dumps_envelope({"ok": {key: 0}})
+
+
+def plain(obj):
+    """`obj` with each `ChainRuns` replaced by the list of its entries."""
+    if type(obj) is cli.ChainRuns:
+        return [a for a, k in obj.runs for _ in range(k)]
+    if type(obj) is dict:
+        return {key: plain(value) for key, value in obj.items()}
+    if type(obj) in (list, tuple):
+        return [plain(item) for item in obj]
+    return obj
+
+
+def compact_oracle(obj):
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+class TestChainRunsWriter:
+    """A chain held as runs writes the bytes `json` writes for its entries."""
+
+    @staticmethod
+    def check(env):
+        want = plain(env)
+        assert dumps_envelope(env) == indent2_oracle(want)
+        compact = dumps_envelope(env, compact=True)
+        assert compact == compact_oracle(want)
+        assert dumps_envelope(json.loads(compact), compact=True) == compact
+
+    def test_every_germ_to_200(self):
+        germs = [(1, 0)] + [(m, q) for m in range(2, 201) for q in range(1, m) if gcd(m, q) == 1]
+        for m, q in germs:
+            args = SimpleNamespace(m=m, w1=1, w2=q, bound=None)
+            payload, warnings = cli._cmd_cqs(args)
+            assert type(payload["chain"]) is cli.ChainRuns
+            self.check(cli.make_envelope("cqs", vars(args), payload, warnings))
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            ((2, 10**5 - 1),),
+            ((3, 1), (2, 10**5)),
+            ((3, 1), (2, 1)),
+            ((3, 1),),
+            cqs.hj_runs(*cqs.wahl(3000, 1447)),
+            cqs.hj_runs(*cqs.wahl(97, 40)),
+            (),
+        ],
+    )
+    def test_long_chains_at_every_depth(self, runs):
+        chain, dual = cli.ChainRuns(runs), cli.ChainRuns(runs[::-1])
+        for env in (
+            chain,
+            [chain, dual],
+            {"chain": chain, "dual_chain": dual},
+            {"result": {"points": [{"chain": chain, "dual_chain": dual, "mu": None}]}},
+        ):
+            self.check(env)
+
+    def test_wps_point_payloads(self):
+        for weights in ((1, 1000, 1001), (4, 25, 841), (169, 1156, 1755625), (2, 4, 5)):
+            report = wps.analyze(wps.WpsTriple(*weights))
+            self.check(cli.make_envelope("wps", {}, cli.wps_payload(report), []))
 
 
 class TestConsoleScript:

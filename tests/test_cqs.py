@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 import pytest
@@ -17,6 +18,7 @@ from degenscope.cqs import (
     gorenstein_index,
     hj_eval,
     hj_expand,
+    hj_runs,
     is_qg_rigid,
     milnor_mu,
     mld_brute,
@@ -47,6 +49,36 @@ def _hj_expand_steps(m, q):
         entries.append(a)
         m, q = q, a * q - m
     return tuple(entries)
+
+
+def _basket_membership_reversal(chain):
+    """Oracle for `basket_membership`: match every pattern on the chain and
+    on a reversed copy, slicing off each prefix's tail."""
+
+    def match_prefix(c, prefix):
+        if len(c) < len(prefix) or c[: len(prefix)] != prefix:
+            return None
+        tail = c[len(prefix) :]
+        if any(a != 2 for a in tail):
+            return None
+        return len(tail)
+
+    if not chain:
+        raise ValueError("basket membership needs a singular germ (non-empty chain)")
+    tags = set()
+    for c in {chain, chain[::-1]}:
+        for family, pattern, prefix in cqs._BASKET_PREFIXES:
+            k = match_prefix(c, prefix)
+            if k is not None:
+                tags.add(cqs.BasketTag(family, pattern, k))
+        if len(c) == 3 and c[0] == 2 and c[2] == 2:
+            tags.add(cqs.BasketTag("D", "[2,n,2]", c[1]))
+    return frozenset(tags)
+
+
+def _runs_of(chain):
+    """Maximal runs ((a, count), ...) of a chain, entry by entry."""
+    return tuple((a, len(list(group))) for a, group in groupby(chain))
 
 
 class TestNormalize:
@@ -104,10 +136,11 @@ class TestHjChains:
         with pytest.raises(ValueError):
             hj_eval((3, 1, 2))
 
-    @pytest.mark.parametrize("mq", [(4, 2), (5, 0), (5, 5), (3, 4)])
+    @pytest.mark.parametrize("mq", [(4, 2), (5, 0), (5, 5), (3, 4), (1, 1), (0, 0)])
     def test_expand_rejects_invalid(self, mq):
-        with pytest.raises(ValueError):
-            hj_expand(*mq)
+        for fn in (hj_expand, hj_runs):
+            with pytest.raises(ValueError, match="need 0 < q < m coprime"):
+                fn(*mq)
 
     def test_round_trip_small(self):
         for m, q in coprime_pairs(200):
@@ -123,10 +156,19 @@ class TestHjChains:
             q = m - 1  # always coprime
         assert hj_eval(hj_expand(m, q)) == (m, q)
 
+    @staticmethod
+    def check_runs(m, q):
+        """`hj_runs` holds the maximal runs of the oracle's chain, at most
+        2*log2(m) + 2 of them, and `hj_expand` is their expansion."""
+        runs = hj_runs(m, q)
+        assert runs == _runs_of(_hj_expand_steps(m, q)), (m, q)
+        assert hj_expand(m, q) == _hj_expand_steps(m, q), (m, q)
+        assert 1 << max(len(runs) - 2, 0) <= m * m, (m, q, len(runs))  # 2^(len-2) <= m^2
+
     def test_runs_match_steps_exhaustive(self):
-        assert hj_expand(1, 0) == _hj_expand_steps(1, 0) == ()
-        for m, q in coprime_pairs(300):
-            assert hj_expand(m, q) == _hj_expand_steps(m, q), (m, q)
+        assert hj_runs(1, 0) == hj_expand(1, 0) == _hj_expand_steps(1, 0) == ()
+        for m, q in coprime_pairs(500):
+            self.check_runs(m, q)
 
     def test_runs_match_steps_random_large(self):
         rng = random.Random(20261018)
@@ -135,7 +177,7 @@ class TestHjChains:
             q = rng.randrange(1, m)
             while gcd(m, q) != 1:
                 q = rng.randrange(1, m)
-            assert hj_expand(m, q) == _hj_expand_steps(m, q), (m, q)
+            self.check_runs(m, q)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 1000, 10**5])
     def test_runs_match_steps_long_twos(self, k):
@@ -148,6 +190,22 @@ class TestHjChains:
                 continue
             m, q = hj_eval(chain)
             assert hj_expand(m, q) == _hj_expand_steps(m, q) == chain
+
+
+class TestHjRuns:
+    """`hj_runs` is the one chain walk; `hj_expand` expands its runs."""
+
+    @pytest.mark.parametrize("m", [2, 3, 10**6, 10**30])
+    def test_du_val_is_one_run(self, m):
+        assert hj_runs(m, m - 1) == ((2, m - 1),)
+
+    def test_wahl_and_long_twos_runs(self):
+        assert hj_runs(*wahl(3000, 1447)) == _runs_of(hj_expand(*wahl(3000, 1447)))
+        for k in (1, 10**6):
+            m, q = hj_eval((3,) + (2,) * k)
+            assert hj_runs(m, q) == ((3, 1), (2, k))
+            m, q = hj_eval((2,) * k + (5, 5))
+            assert hj_runs(m, q) == ((2, k), (5, 2))
 
 
 class TestReverseType:
@@ -257,6 +315,64 @@ class TestBaskets:
         tags = {(t.family, t.param) for t in basket_membership(hj_expand(5, 3))}
         assert tags == {("F2", 0), ("F1", 1)}
         assert basket_membership(hj_expand(5, 2)) == basket_membership(hj_expand(5, 3))
+
+
+class _SliceSpy(tuple):
+    """A chain that records the length of every slice taken of it."""
+
+    def __new__(cls, entries, lengths):
+        self = super().__new__(cls, entries)
+        self.lengths = lengths
+        return self
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.lengths.append(len(range(*i.indices(len(self)))))
+        return super().__getitem__(i)
+
+
+class TestBasketsAgainstReversalOracle:
+    def test_every_normal_form_to_300(self):
+        for m, q in coprime_pairs(300):
+            chain = hj_expand(m, q)
+            assert basket_membership(chain) == _basket_membership_reversal(chain), (m, q)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 1000, 10**6])
+    def test_prefix_and_twos_shapes(self, k):
+        shapes = [(a,) + (2,) * k for a in range(2, 8)]
+        shapes += [(2,) * k + (a,) for a in range(2, 8)]
+        shapes += [(2, 3) + (2,) * k, (2,) * k + (3, 2), (3, 3) + (2,) * k, (2,) * k + (4, 2)]
+        shapes += [(2, 2, 2, 3) + (2,) * k, (3,) + (2,) * k + (3,), (2, 5) + (2,) * k + (2, 5)]
+        for chain in shapes:
+            tags = basket_membership(chain)
+            assert tags == _basket_membership_reversal(chain), chain[:6]
+        assert basket_membership((3,) + (2,) * k) >= {cqs.BasketTag("F1", "[3,2^k]", k)}
+        assert basket_membership((2, 3) + (2,) * k) >= {cqs.BasketTag("F2", "[2,3,2^k]", k)}
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 10**5])
+    def test_du_val_chains(self, m):
+        chain = hj_expand(m, m - 1)
+        assert basket_membership(chain) == _basket_membership_reversal(chain)
+
+    def test_wahl_chains(self):
+        for n in range(2, 40):
+            for a in range(1, n):
+                if gcd(a, n) == 1:
+                    chain = hj_expand(*wahl(n, a))
+                    assert basket_membership(chain) == _basket_membership_reversal(chain)
+        chain = hj_expand(*wahl(3000, 1447))
+        assert basket_membership(chain) == _basket_membership_reversal(chain)
+
+    @pytest.mark.parametrize("chain", [(2,) * 10**5, (3,) + (2,) * 10**5, (2,) * 10**5 + (3, 2)])
+    def test_never_copies_the_chain(self, chain):
+        lengths = []
+        spy = _SliceSpy(chain, lengths)
+        assert basket_membership(spy) == _basket_membership_reversal(chain)
+        assert max(lengths, default=0) <= 4
+
+    def test_empty_chain_raises(self):
+        with pytest.raises(ValueError, match="non-empty chain"):
+            basket_membership(())
 
 
 class TestReverseInvariance:

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -103,7 +104,8 @@ def test_golden_output(name, argv, tmp_path):
 # The benchmark's commands that reach `wps`, in the argv spelling
 # bench/digests.json keys them by: scan_box, its CSV twin and their
 # `--jobs 2` runs, the six orderings of each Markov-square plane and the
-# two `markov degenerations`.  The digests are read here, never written.
+# two `markov degenerations`; and its start-up probe `cqs 1 1 1`.  The
+# digests are read here, never written.
 BENCH_SCAN_OUT = ".bench_out/tmp/scan.out"
 BENCH_MARKOV_PLANES = ((169, 1156, 1755625), (25, 37636, 8392609))
 BENCH_SCANS = (
@@ -114,6 +116,7 @@ BENCH_SCANS = (
     *(("wps", *map(str, order)) for plane in BENCH_MARKOV_PLANES for order in permutations(plane)),
     ("markov", "degenerations", "--n", "3", "--bound", "10000"),
     ("markov", "degenerations", "--n", "5", "--bound", "3000"),
+    ("cqs", "1", "1", "1"),
 )
 BENCH_IDS = ["scan_box", "scan_box_csv", "scan_box_jobs2", "scan_box_csv_jobs2"] + [
     "_".join(argv).replace("-", "") for argv in BENCH_SCANS[4:]
@@ -129,6 +132,33 @@ def test_scan_bytes_match_benchmark_digests(argv, tmp_path):
     assert (out_bytes is None) == ("out" not in want)
     if out_bytes is not None:
         assert hashlib.sha256(out_bytes).hexdigest() == want["out"]
+
+
+# The two seeded germs of large_germs, keyed by label because the seed picks
+# their units.  The units are checked and blanked as bench/run.py's
+# `echo_canon` does, so each digest covers every choice of w1.
+BENCH_GERMS = (
+    ("cqs wahl 1/9000000(1,4340999)", 9_000_000, 4_340_999, (1, 7, 4_340_999)),
+    ("cqs du_val 1/500000(1,499999)", 500_000, 499_999, (1, 7, 499_999)),
+)
+ECHOED_UNIT = re.compile(rb'"(w1|w2)": (\d+)')
+
+
+def blank_units(stdout: bytes, w1: int, w2: int) -> bytes:
+    """`stdout` with the four echoed units zeroed; they must read w1 and w2."""
+    head = stdout[:1024]
+    want = [(b"w1", str(w1).encode()), (b"w2", str(w2).encode())] * 2
+    assert sorted(ECHOED_UNIT.findall(head)) == sorted(want)
+    return ECHOED_UNIT.sub(lambda mt: b'"' + mt.group(1) + b'": 0', head, count=4) + stdout[1024:]
+
+
+@pytest.mark.parametrize("key,m,q,units", BENCH_GERMS, ids=["wahl", "du_val"])
+def test_cqs_bytes_match_benchmark_digests(key, m, q, units, tmp_path):
+    want = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))[key]["stdout"]
+    for w1 in units:
+        w2 = w1 * q % m
+        stdout, _ = run_case(("cqs", str(m), str(w1), str(w2)), tmp_path)
+        assert hashlib.sha256(blank_units(stdout, w1, w2)).hexdigest() == want, w1
 
 
 def _record_missing() -> None:

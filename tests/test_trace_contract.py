@@ -1,10 +1,11 @@
-"""The benchmark's trace contract on the scan path.
+"""The benchmark's trace contract on the scan and large_germs paths.
 
-`python3 bench/run.py --trace 1` counts a scan workload as failed when a
-span it expects records no calls, so a fast path that stops calling one of
-the traced public functions would break the benchmark while every other
-test passes.  This runs the same tracer on a small scan and checks that
-each span the scan_box workload expects was called.
+`python3 bench/run.py --trace 1` counts a workload as failed when a span it
+expects records no calls, so a fast path that stops calling one of the
+traced public functions would break the benchmark while every other test
+passes.  This runs the same tracer on a small scan and checks that each
+span the scan_box workload expects was called, and on small twins of the
+large_germs commands, whose chains reach the writer through the spans below.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,13 +31,39 @@ def _bench_run():
     return sys.modules["bench_run"]
 
 
+def _traced_functions(tmp_path: Path, cli_argv: list[str]) -> dict:
+    """The per-span stats of one CLI command run under the benchmark's tracer."""
+    stats_path = tmp_path / "stats.json"
+    argv = [sys.executable, str(BENCH / "trace_main.py"), "--spans", "all", "--stats", str(stats_path)]
+    subprocess.run([*argv, "--", *cli_argv], check=True, cwd=tmp_path, capture_output=True)
+    return json.loads(stats_path.read_text(encoding="utf-8"))["functions"]
+
+
+def _silent(functions: dict, expected) -> list[str]:
+    return [span for span in expected if functions.get(span, {}).get("calls", 0) == 0]
+
+
 def test_scan_calls_every_span_the_benchmark_expects(tmp_path):
     expected = _bench_run().SCAN_SPANS + ("cli.record_envelope",)
-    stats_path, out_path = tmp_path / "stats.json", tmp_path / "scan.out"
-    argv = [sys.executable, str(BENCH / "trace_main.py"), "--spans", "all", "--stats", str(stats_path)]
-    argv += ["--", "scan", "14", "--out", str(out_path)]
-    subprocess.run(argv, check=True, cwd=tmp_path, capture_output=True)
-    functions = json.loads(stats_path.read_text(encoding="utf-8"))["functions"]
-    silent = [span for span in expected if functions.get(span, {}).get("calls", 0) == 0]
-    assert silent == []
+    out_path = tmp_path / "scan.out"
+    functions = _traced_functions(tmp_path, ["scan", "14", "--out", str(out_path)])
+    assert _silent(functions, expected) == []
     assert out_path.read_text(encoding="utf-8").count("\n") > 0
+
+
+CHAIN_SPANS = ("cqs.hj_expand", "cqs.basket_membership", "cli.dumps_envelope")
+
+
+@pytest.mark.parametrize(
+    "cli_argv,expected",
+    [
+        (["cqs", "60", "1", "59"], CHAIN_SPANS),
+        (["wps", "4", "25", "841"], CHAIN_SPANS + ("cli.point_payload",)),
+        (["markov", "degenerations", "--n", "3", "--bound", "20"], CHAIN_SPANS + ("cli.point_payload",)),
+    ],
+    ids=["cqs", "wps", "markov_degenerations"],
+)
+def test_chain_commands_call_the_large_germs_spans(cli_argv, expected, tmp_path):
+    functions = _traced_functions(tmp_path, cli_argv)
+    assert _silent(functions, expected) == []
+    assert set(expected) <= set(_bench_run().WORKLOADS["large_germs"].expected)
