@@ -16,7 +16,6 @@ from .cqs import (
     hj_expand,
     hj_runs,
     is_qg_rigid,
-    milnor_mu,
     mld_brute,
     mld_less_than,
     mld_normalized,

@@ -47,15 +47,6 @@ REASON_EXPLANATIONS = {
 }
 
 
-def frac_str(f: Fraction) -> str:
-    return cqs.ratio_str(f.numerator, f.denominator)
-
-
-def frac_decimal(f: Fraction, digits: int = 12) -> str:
-    """Deterministic decimal rendering with integer arithmetic only."""
-    return cqs.ratio_decimal(f.numerator, f.denominator, digits)
-
-
 def frac_fields(name: str, f: Fraction) -> dict[str, str]:
     n, d = f.numerator, f.denominator
     return {name: cqs.ratio_str(n, d), f"{name}_decimal": cqs.ratio_decimal(n, d)}
@@ -171,66 +162,36 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _basket_payload(tags) -> list[dict]:
-    ordered = sorted(tags, key=lambda t: (t.family, t.pattern, t.param))
-    return [{"family": t.family, "pattern": t.pattern, "param": t.param} for t in ordered]
-
-
-def _t_payload(t) -> dict | None:
-    if t is None:
-        return None
-    return {"d": t.d, "n": t.n, "a": t.a}
-
-
 def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
     """The fields a point report shares with the cqs command, in order.
 
-    The chains go in as `ChainRuns` of the normal form's O(log m) runs, the
-    dual chain as the same runs reversed: a chain can hold m-1 entries, and
+    The chains go in as `ChainRuns` of the record's O(log m) runs, the dual
+    chain as the same runs reversed: a chain can hold m-1 entries, and
     neither is copied or reversed entry by entry.
     """
-    runs = cqs.hj_runs(*pt.normalized)
+    runs = pt.runs
     return {
-        "normalized": {"m": pt.normalized.m, "q": pt.normalized.q},
+        "normalized": pt.normalized._asdict(),
         "chain": ChainRuns(runs),
         "dual_chain": ChainRuns(runs[::-1]),
-        "t_data": _t_payload(pt.t_data),
+        "t_data": None if pt.t_data is None else pt.t_data._asdict(),
         "wahl": pt.t_data is not None and pt.t_data.is_wahl,
         "mu": pt.mu,
         "rigid": None
         if pt.smooth
         else {"rigid": pt.rigid, "k": pt.rigid_k, "r": pt.rigid_r},
         "gorenstein_index": pt.gorenstein_index,
-        "baskets": _basket_payload(pt.baskets),
+        "baskets": [tag._asdict() for tag in sorted(pt.baskets)],
     }
-
-
-def _germ_payload(germ: cqs.CqsGerm) -> dict[str, int]:
-    return {"m": germ.m, "w1": germ.w1, "w2": germ.w2}
 
 
 def point_payload(pt: wps.PointReport) -> dict:
     return {
         "weight": pt.weight,
         "smooth": pt.smooth,
-        "germ": _germ_payload(pt.germ),
+        "germ": pt.germ._asdict(),
         **_classification_fields(pt),
         **frac_fields("mld", pt.mld),
-    }
-
-
-def _family_a_payload(w: wps.FamilyAWitness) -> dict[str, Any]:
-    return {"permutation": list(w.permutation), "indices": list(w.indices)}
-
-
-def _family_b_payload(w: wps.FamilyBWitness) -> dict[str, Any]:
-    return {
-        "family": w.family,
-        "n": w.n,
-        "l": w.l,
-        "k": w.k,
-        "permutation": list(w.permutation),
-        "indices": list(w.indices),
     }
 
 
@@ -241,9 +202,9 @@ def reason_payload(reason: wps.Reason, explain: bool = False, mld: dict | None =
     if reason.mld is not None:
         out.update(mld or frac_fields("mld", reason.mld))
     if reason.family_a is not None:
-        out.update(_family_a_payload(reason.family_a))
+        out.update(reason.family_a._asdict())
     if reason.family_b is not None:
-        out.update(_family_b_payload(reason.family_b))
+        out.update(reason.family_b._asdict())
     if explain:
         out["explain"] = REASON_EXPLANATIONS[reason.kind]
     return out
@@ -255,11 +216,7 @@ def verdict_payload(verdict: wps.Verdict, explain: bool = False) -> dict:
         "reasons": [reason_payload(r, explain) for r in verdict.reasons],
         "one_complement_hypotheses": None
         if verdict.hypotheses is None
-        else {
-            "toric_picard_rank_one_assumed": verdict.hypotheses.toric_picard_rank_one_assumed,
-            "mld_below_one_sixth": verdict.hypotheses.mld_below_one_sixth,
-            "no_basket_points": verdict.hypotheses.no_basket_points,
-        },
+        else verdict.hypotheses._asdict(),
     }
 
 
@@ -277,8 +234,8 @@ def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
     else:
         lhs, holds = report.noether
         out["noether"] = {**frac_fields("lhs", lhs), "holds": holds}
-    out["family_a"] = None if report.family_a is None else _family_a_payload(report.family_a)
-    out["family_b"] = None if report.family_b is None else _family_b_payload(report.family_b)
+    out["family_a"] = None if report.family_a is None else report.family_a._asdict()
+    out["family_b"] = None if report.family_b is None else report.family_b._asdict()
     out["verdict"] = verdict_payload(report.verdict, explain)
     return out
 
@@ -296,10 +253,7 @@ def census_payload(c: density.DensityCensus) -> dict:
         "count_B1_unordered": c.count_B1_unordered,
         "count_B2_unordered": c.count_B2_unordered,
         "count_B3_unordered": c.count_B3_unordered,
-        "bound_checks": [
-            {"name": b.name, "holds": b.holds, "lhs": b.lhs, "rhs": b.rhs}
-            for b in c.bound_checks
-        ],
+        "bound_checks": [b._asdict() for b in c.bound_checks],
     }
 
 
@@ -308,7 +262,7 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
         "kind": cand.kind,
         "general_fiber": cand.is_general_fiber,
         "toric_model": list(cand.toric_model.weights),
-        "basket": [{"m": s.m, "q": s.q} for s in cand.basket],
+        "basket": [s._asdict() for s in cand.basket],
         **frac_fields("k2", cand.k2),
         "rho": cand.rho,
         "note": cand.note,
@@ -446,7 +400,7 @@ def _naming(exc: OSError, path: str) -> OSError:
 def _cmd_cqs(args) -> tuple[dict, list[str]]:
     pt = wps.point_report(args.m, args.w1, args.w2)
     payload: dict[str, Any] = {
-        "germ": _germ_payload(pt.germ),
+        "germ": pt.germ._asdict(),
         "smooth": pt.smooth,
         **_classification_fields(pt),
     }
@@ -559,7 +513,8 @@ def _dispatch(args, out) -> int:
                 print(_csv_line(CENSUS_CSV_HEADER), file=out)
                 for c in censuses:
                     row = [c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S]
-                    print(_csv_line([*row, frac_decimal(c.ratio)]), file=out)
+                    ratio = cqs.ratio_decimal(c.ratio.numerator, c.ratio.denominator)
+                    print(_csv_line([*row, ratio]), file=out)
             return EXIT_OK
         payload = {"censuses": [census_payload(c) for c in censuses]}
     else:

@@ -3,9 +3,10 @@
 A germ 1/m(w1,w2) is the quotient of C^2 by the Z/m action with weights
 (w1,w2).  Everything here is exact integer / rational arithmetic: normal
 forms 1/m(1,q), Hirzebruch-Jung chains, T- and Wahl-singularity
-recognition, Milnor correction terms, Q-Gorenstein rigidity, basket
-pattern membership, and minimal log discrepancies, with the exact and
-decimal texts the payloads print for a rational.
+recognition (whose d gives the Milnor correction term d - 1),
+Q-Gorenstein rigidity, basket pattern membership, and minimal log
+discrepancies, with the exact and decimal texts the payloads print for a
+rational.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "hj_eval",
     "reverse_type",
     "classify_t",
-    "milnor_mu",
     "is_qg_rigid",
     "basket_membership",
     "mld_brute",
@@ -279,12 +279,6 @@ def classify_t(s: NormalizedCqs) -> TData | None:
     if (g * g) % s.m != 0:
         return None
     return TData(d=(g * g) // s.m, n=s.m // g, a=(s.q + 1) // g)
-
-
-def milnor_mu(s: NormalizedCqs) -> int | None:
-    """Milnor correction term of the smoothing: d - 1 for 1/(d*n^2)(1,dna-1)."""
-    t = classify_t(s)
-    return None if t is None else t.d - 1
 
 
 def is_qg_rigid(s: NormalizedCqs) -> tuple[bool, int, int]:

@@ -66,12 +66,14 @@ class GermRecord(NamedTuple):
     """One normal form 1/m(1,q), classified once and cached by `_point_core`.
 
     The first ten fields are the classification fields a PointReport reads
-    through; the mld is also held as its integer numerator over m, for
-    decisions by cross-multiplying, and in the two renderings of the payload.
+    through.  The Hirzebruch-Jung chain is held once, as its O(log m) runs
+    from `cqs.hj_runs`, never as the Theta(m) entry tuple.  The mld is also
+    held as its integer numerator over m, for decisions by cross-multiplying,
+    and in the two renderings of the payload.
     """
 
     normalized: NormalizedCqs
-    chain: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
     t_data: TData | None
     mu: int | None
     rigid: bool
@@ -95,7 +97,7 @@ class PointReport(NamedTuple):
     record: GermRecord
 
     normalized = property(attrgetter("record.normalized"))
-    chain = property(attrgetter("record.chain"))
+    runs = property(attrgetter("record.runs"))
     t_data = property(attrgetter("record.t_data"))
     mu = property(attrgetter("record.mu"))
     rigid = property(attrgetter("record.rigid"))
@@ -104,6 +106,12 @@ class PointReport(NamedTuple):
     gorenstein_index = property(attrgetter("record.gorenstein_index"))
     baskets = property(attrgetter("record.baskets"))
     mld = property(attrgetter("record.mld"))
+
+    @property
+    def chain(self) -> tuple[int, ...]:
+        """The Hirzebruch-Jung chain, expanded on request: the record holds
+        only its runs."""
+        return cqs.hj_expand(*self.normalized)
 
     @property
     def smooth(self) -> bool:
@@ -245,7 +253,7 @@ class WpsReport(NamedTuple):
 
 _SMOOTH_RECORD = GermRecord(
     normalized=cqs.SMOOTH,
-    chain=(),
+    runs=(),
     t_data=None,
     mu=None,
     rigid=True,
@@ -266,21 +274,20 @@ def _point_core(m: int, q: int) -> GermRecord:
     if m == 1:
         return _SMOOTH_RECORD
     s = cqs.normal_form(m, q)
-    chain = cqs.hj_expand(m, q)
     t = cqs.classify_t(s)
     rigid, k, r = cqs.is_qg_rigid(s)
     mld = cqs.mld_normalized(s)
     n, d = mld.numerator, mld.denominator
     return GermRecord(
         s,
-        chain,
+        cqs.hj_runs(m, q),
         t,
         None if t is None else t.d - 1,
         rigid,
         k,
         r,
         cqs.gorenstein_index(s),
-        cqs.basket_membership(chain),
+        cqs.basket_membership(cqs.hj_expand(m, q)),
         mld,
         n * (m // d),
         cqs.ratio_str(n, d),
@@ -299,12 +306,8 @@ def _fixed_point(weight: int, other1: int, other2: int) -> PointReport:
     other two weights are coprime to this one): the germ is built without
     checking that again."""
     germ = _tuple_new(CqsGerm, (weight, other1 % weight, other2 % weight))
-    if weight == 1:
-        rec = _SMOOTH_RECORD
-    else:
-        s = normalize(germ)
-        rec = _point_core(s.m, s.q)
-    return _tuple_new(PointReport, (weight, germ, rec))
+    s = normalize(germ)
+    return _tuple_new(PointReport, (weight, germ, _point_core(s.m, s.q)))
 
 
 def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:

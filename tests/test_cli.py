@@ -20,8 +20,6 @@ from degenscope.cli import (
     EXIT_IO_FAILURE,
     EXIT_OK,
     dumps_envelope,
-    frac_decimal,
-    frac_str,
     main,
     run_scan,
 )
@@ -50,17 +48,19 @@ def scan_lines(N, **kwargs):
 
 
 class TestFractions:
+    # The payloads render a Fraction f through cqs.ratio_str / ratio_decimal
+    # of its numerator and denominator (cli.frac_fields).
     def test_frac_str(self):
-        assert frac_str(Fraction(9)) == "9"
-        assert frac_str(Fraction(25, 3)) == "25/3"
-        assert frac_str(Fraction(-1, 2)) == "-1/2"
+        assert cqs.ratio_str(9, 1) == "9"
+        assert cqs.ratio_str(25, 3) == "25/3"
+        assert cqs.ratio_str(-1, 2) == "-1/2"
 
     def test_frac_decimal(self):
-        assert frac_decimal(Fraction(1, 2)) == "0.5"
-        assert frac_decimal(Fraction(1, 3)) == "0.333333333333"
-        assert frac_decimal(Fraction(7)) == "7"
-        assert frac_decimal(Fraction(-1, 8)) == "-0.125"
-        assert frac_decimal(Fraction(601, 1000)) == "0.601"
+        assert cqs.ratio_decimal(1, 2) == "0.5"
+        assert cqs.ratio_decimal(1, 3) == "0.333333333333"
+        assert cqs.ratio_decimal(7, 1) == "7"
+        assert cqs.ratio_decimal(-1, 8) == "-0.125"
+        assert cqs.ratio_decimal(601, 1000) == "0.601"
 
 
 class TestCqsCommand:

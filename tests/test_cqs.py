@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenscope import cqs
+from degenscope import cqs, wps
 from degenscope.cqs import (
     CqsGerm,
     NormalizedCqs,
@@ -20,7 +20,6 @@ from degenscope.cqs import (
     hj_expand,
     hj_runs,
     is_qg_rigid,
-    milnor_mu,
     mld_brute,
     mld_less_than,
     mld_normalized,
@@ -273,9 +272,10 @@ class TestClassifyT:
 
 
 class TestMilnorMu:
+    # The germ record's mu: d - 1 of the T-data, None for a non-T germ.
     @pytest.mark.parametrize("mq,expected", [((4, 1), 0), ((3, 2), 2), ((5, 2), None)])
     def test_examples(self, mq, expected):
-        assert milnor_mu(NormalizedCqs(*mq)) == expected
+        assert wps._point_core(*mq).mu == expected
 
 
 class TestRigidity:

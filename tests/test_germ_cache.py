@@ -36,19 +36,19 @@ def fresh_record(m: int, q: int) -> GermRecord:
     """The record of 1/m(1,q) computed from the cqs primitives, with the
     mld from the brute-force junior-weight scan."""
     s = NormalizedCqs(m, q)
-    chain = cqs.hj_expand(m, q)
+    t = cqs.classify_t(s)
     rigid, k, r = cqs.is_qg_rigid(s)
     mld = cqs._mld_scan(m, 1, q)
     return GermRecord(
         normalized=s,
-        chain=chain,
-        t_data=cqs.classify_t(s),
-        mu=cqs.milnor_mu(s),
+        runs=cqs.hj_runs(m, q),
+        t_data=t,
+        mu=None if t is None else t.d - 1,
         rigid=rigid,
         rigid_k=k,
         rigid_r=r,
         gorenstein_index=cqs.gorenstein_index(s),
-        baskets=cqs.basket_membership(chain),
+        baskets=cqs.basket_membership(cqs.hj_expand(m, q)),
         mld=mld,
         mld_u=mld.numerator * (m // mld.denominator),
         mld_text=reference_text(mld),
@@ -67,7 +67,7 @@ def test_records_agree_with_the_primitives():
                 germs += 1
     assert germs == sum(1 for m in range(2, 201) for q in range(1, m) if gcd(m, q) == 1)
     smooth = wps._point_core(1, 0)
-    assert smooth.normalized == cqs.SMOOTH and smooth.chain == () and smooth.baskets == frozenset()
+    assert smooth.normalized == cqs.SMOOTH and smooth.runs == () and smooth.baskets == frozenset()
     assert (smooth.mld, smooth.mld_u, smooth.mld_text, smooth.mld_decimal) == (Fraction(2), 2, "2", "2")
 
 
@@ -84,6 +84,7 @@ def test_point_reports_repeat_the_record_fields():
         assert pt.record is wps._point_core(s.m, s.q)
         for name in shared:
             assert getattr(pt, name) is getattr(pt.record, name), name
+        assert pt.chain == cqs.hj_expand(s.m, s.q)
 
 
 def test_normal_form_is_cached_and_validated():

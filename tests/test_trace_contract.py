@@ -4,8 +4,10 @@
 expects records no calls, so a fast path that stops calling one of the
 traced public functions would break the benchmark while every other test
 passes.  This runs the same tracer on a small scan and checks that each
-span the scan_box workload expects was called, and on small twins of the
-large_germs commands, whose chains reach the writer through the spans below.
+span the scan_box workload expects was called; on small twins of the
+large_germs commands, whose chains reach the writer through the spans below
+and which together must call every span large_germs expects; and on a small
+density run, which must call every span density_census expects.
 """
 
 from __future__ import annotations
@@ -53,17 +55,40 @@ def test_scan_calls_every_span_the_benchmark_expects(tmp_path):
 
 CHAIN_SPANS = ("cqs.hj_expand", "cqs.basket_membership", "cli.dumps_envelope")
 
+# Small twins of the large_germs commands, by id.
+TWINS = {
+    "cqs": ["cqs", "60", "1", "59"],
+    "wps": ["wps", "4", "25", "841"],
+    "markov_degenerations": ["markov", "degenerations", "--n", "3", "--bound", "20"],
+}
+
+
+@pytest.fixture(scope="module")
+def twin_functions(tmp_path_factory) -> dict[str, dict]:
+    """The per-span stats of each twin, traced once for this module."""
+    return {name: _traced_functions(tmp_path_factory.mktemp(name), argv) for name, argv in TWINS.items()}
+
 
 @pytest.mark.parametrize(
-    "cli_argv,expected",
+    "twin,expected",
     [
-        (["cqs", "60", "1", "59"], CHAIN_SPANS),
-        (["wps", "4", "25", "841"], CHAIN_SPANS + ("cli.point_payload",)),
-        (["markov", "degenerations", "--n", "3", "--bound", "20"], CHAIN_SPANS + ("cli.point_payload",)),
+        ("cqs", CHAIN_SPANS),
+        ("wps", CHAIN_SPANS + ("cli.point_payload",)),
+        ("markov_degenerations", CHAIN_SPANS + ("cli.point_payload",)),
     ],
     ids=["cqs", "wps", "markov_degenerations"],
 )
-def test_chain_commands_call_the_large_germs_spans(cli_argv, expected, tmp_path):
-    functions = _traced_functions(tmp_path, cli_argv)
-    assert _silent(functions, expected) == []
+def test_chain_commands_call_the_large_germs_spans(twin, expected, twin_functions):
+    assert _silent(twin_functions[twin], expected) == []
     assert set(expected) <= set(_bench_run().WORKLOADS["large_germs"].expected)
+
+
+def test_twins_together_call_every_large_germs_span(twin_functions):
+    expected = _bench_run().WORKLOADS["large_germs"].expected
+    silent = [span for span in expected if all(_silent(f, (span,)) for f in twin_functions.values())]
+    assert silent == []
+
+
+def test_density_calls_every_span_the_benchmark_expects(tmp_path):
+    functions = _traced_functions(tmp_path, ["density", "30", "40"])
+    assert _silent(functions, _bench_run().WORKLOADS["density_census"].expected) == []
