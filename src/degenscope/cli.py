@@ -185,22 +185,27 @@ def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
     }
 
 
+def _mld_fields(record: wps.GermRecord) -> dict[str, str]:
+    """The mld fields of a germ, the texts its record rendered once."""
+    return {"mld": record.mld_text, "mld_decimal": record.mld_decimal}
+
+
 def point_payload(pt: wps.PointReport) -> dict:
     return {
         "weight": pt.weight,
         "smooth": pt.smooth,
         "germ": pt.germ._asdict(),
         **_classification_fields(pt),
-        **frac_fields("mld", pt.mld),
+        **_mld_fields(pt.record),
     }
 
 
-def reason_payload(reason: wps.Reason, explain: bool = False, mld: dict | None = None) -> dict:
-    """The reason's fields; `mld`, the plane's mld fields when the caller has
-    them rendered already, stands in for rendering `reason.mld` again."""
+def reason_payload(reason: wps.Reason, mld: dict[str, str] | None, explain: bool = False) -> dict:
+    """The reason's fields; `mld` holds the plane's mld fields, which an
+    `mld_at_least_one_sixth` reason carries."""
     out: dict[str, Any] = {"kind": reason.kind}
     if reason.mld is not None:
-        out.update(mld or frac_fields("mld", reason.mld))
+        out.update(mld)
     if reason.family_a is not None:
         out.update(reason.family_a._asdict())
     if reason.family_b is not None:
@@ -210,10 +215,10 @@ def reason_payload(reason: wps.Reason, explain: bool = False, mld: dict | None =
     return out
 
 
-def verdict_payload(verdict: wps.Verdict, explain: bool = False) -> dict:
+def verdict_payload(verdict: wps.Verdict, mld: dict[str, str] | None, explain: bool = False) -> dict:
     return {
         "outcome": verdict.outcome.value,
-        "reasons": [reason_payload(r, explain) for r in verdict.reasons],
+        "reasons": [reason_payload(r, mld, explain) for r in verdict.reasons],
         "one_complement_hypotheses": None
         if verdict.hypotheses is None
         else verdict.hypotheses._asdict(),
@@ -221,22 +226,25 @@ def verdict_payload(verdict: wps.Verdict, explain: bool = False) -> dict:
 
 
 def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
+    verdict = report.verdict
+    points = verdict.points
     out: dict[str, Any] = {
-        "weights": list(report.triple.weights),
+        "weights": list(report.triple),
         "well_formed": report.well_formed,
     }
     out.update(frac_fields("k2", report.k2))
-    out["points"] = None if report.points is None else [point_payload(pt) for pt in report.points]
-    if report.mld is not None:
-        out.update(frac_fields("mld", report.mld))
+    out["points"] = None if points is None else [point_payload(pt) for pt in points]
+    mld = None if points is None else _mld_fields(wps.lowest_germ(points))
+    if mld is not None:
+        out.update(mld)
     if report.noether is None:
         out["noether"] = None
     else:
         lhs, holds = report.noether
         out["noether"] = {**frac_fields("lhs", lhs), "holds": holds}
-    out["family_a"] = None if report.family_a is None else report.family_a._asdict()
-    out["family_b"] = None if report.family_b is None else report.family_b._asdict()
-    out["verdict"] = verdict_payload(report.verdict, explain)
+    out["family_a"] = None if verdict.family_a is None else verdict.family_a._asdict()
+    out["family_b"] = None if verdict.family_b is None else verdict.family_b._asdict()
+    out["verdict"] = verdict_payload(verdict, mld, explain)
     return out
 
 
@@ -261,7 +269,7 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
     return {
         "kind": cand.kind,
         "general_fiber": cand.is_general_fiber,
-        "toric_model": list(cand.toric_model.weights),
+        "toric_model": list(cand.toric_model),
         "basket": [s._asdict() for s in cand.basket],
         **frac_fields("k2", cand.k2),
         "rho": cand.rho,
@@ -274,16 +282,15 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
 
 
 def _record_payload(p: WpsTriple, explain: bool) -> dict:
-    """One scan record.  The plane's mld fields are the lowest point's germ
-    record's, rendered once per germ; a `mld_at_least_one_sixth` reason
-    carries the same value and reuses them."""
+    """One scan record of a well-formed plane.  Its mld fields are the
+    lowest point's germ record's, rendered once per germ; a
+    `mld_at_least_one_sixth` reason carries the same fields."""
     verdict = wps.degeneration_verdict(p)
-    low = wps.lowest_germ(verdict.points)
-    mld = {"mld": low.mld_text, "mld_decimal": low.mld_decimal}
+    mld = _mld_fields(wps.lowest_germ(verdict.points))
     return {
         "triple": list(p),
         "verdict": verdict.outcome.value,
-        "reasons": [reason_payload(r, explain, mld) for r in verdict.reasons],
+        "reasons": [reason_payload(r, mld, explain) for r in verdict.reasons],
         **mld,
         **frac_fields("k2", wps.k2(p)),
     }
@@ -420,7 +427,7 @@ def _cmd_wps(args) -> tuple[dict, list[str]]:
 def _cmd_markov(args) -> tuple[dict, list[str]]:
     if args.subcommand == "classic":
         triples = markov.classic_markov_enumerate(args.bound)
-        return {"bound": args.bound, "triples": [list(t.entries) for t in triples]}, []
+        return {"bound": args.bound, "triples": [list(t) for t in triples]}, []
     if args.subcommand == "gen":
         sols = markov.gen_solutions(args.n, args.bound)
         return {"n": args.n, "bound": args.bound, "solutions": [[s.x, s.y] for s in sols]}, []
@@ -432,7 +439,7 @@ def _cmd_markov(args) -> tuple[dict, list[str]]:
                 "bound": args.bound,
                 "planes": [
                     {
-                        "weights": list(p.weights),
+                        "weights": list(p),
                         "wps": wps_payload(wps.analyze(p), args.explain),
                     }
                     for p in planes
@@ -440,18 +447,17 @@ def _cmd_markov(args) -> tuple[dict, list[str]]:
             },
             [],
         )
-    if args.subcommand == "candidates":
-        cands = markov.partial_smoothing_candidates(args.n, args.x, args.y)
-        return (
-            {
-                "n": args.n,
-                "x": args.x,
-                "y": args.y,
-                "candidates": [candidate_payload(c) for c in cands],
-            },
-            [],
-        )
-    raise ValueError(f"unknown markov subcommand {args.subcommand!r}")
+    # candidates: argparse accepts no other subcommand.
+    cands = markov.partial_smoothing_candidates(args.n, args.x, args.y)
+    return (
+        {
+            "n": args.n,
+            "x": args.x,
+            "y": args.y,
+            "candidates": [candidate_payload(c) for c in cands],
+        },
+        [],
+    )
 
 
 def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
@@ -505,7 +511,7 @@ def _dispatch(args, out) -> int:
             if hasattr(args, key):
                 inputs[key] = getattr(args, key)
         payload, warnings = _cmd_markov(args)
-    elif args.command == "density":
+    else:  # density: argparse accepts no other command.
         inputs = {"sizes": args.sizes, "jobs": args.jobs}
         censuses, warnings = _cmd_density(args)
         if args.csv:
@@ -517,8 +523,6 @@ def _dispatch(args, out) -> int:
                     print(_csv_line([*row, ratio]), file=out)
             return EXIT_OK
         payload = {"censuses": [census_payload(c) for c in censuses]}
-    else:
-        raise ValueError(f"unknown command {args.command!r}")
 
     if not args.quiet:
         env = make_envelope(args.command, inputs, payload, warnings)

@@ -192,14 +192,14 @@ def ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def ratio_decimal(n: int, d: int, digits: int = 12) -> str:
-    """Advisory decimal of n/d (d > 0), truncated toward zero to `digits`
-    places without trailing zeros, by integer arithmetic only."""
+def ratio_decimal(n: int, d: int) -> str:
+    """Advisory decimal of n/d (d > 0), truncated toward zero to 12 places
+    without trailing zeros, by integer arithmetic only."""
     sign = "-" if n < 0 else ""
     whole, rem = divmod(abs(n), d)
     if rem == 0:
         return f"{sign}{whole}"
-    tail = str(rem * 10**digits // d).rjust(digits, "0").rstrip("0")
+    tail = str(rem * 10**12 // d).rjust(12, "0").rstrip("0")
     return f"{sign}{whole}.{tail}"
 
 
@@ -343,30 +343,6 @@ def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
     return frozenset(tags)
 
 
-def _mld_scan(m: int, w1: int, w2: int) -> Fraction:
-    """Theta(m) reference: min over 0 < t < m of {t*w1/m} + {t*w2/m}.
-
-    The library reads the mld off the resolution chain instead; tests keep
-    this scan as the independent oracle for that walk.
-    """
-    # additive residue stepping keeps the inner loop multiplication-free.
-    r1 = r2 = 0
-    best = 2 * m
-    for _ in range(m - 1):
-        r1 += w1
-        if r1 >= m:
-            r1 -= m
-        r2 += w2
-        if r2 >= m:
-            r2 -= m
-        s = r1 + r2
-        if s < best:
-            best = s
-            if best == 2:
-                break
-    return Fraction(best, m)
-
-
 @lru_cache(maxsize=65536)
 def _mld_normalized(m: int, q: int) -> Fraction:
     # The exceptional curves of the minimal resolution of 1/m(1,q) are the
@@ -409,7 +385,7 @@ def mld_brute(germ: CqsGerm) -> Fraction:
     1/m(1,q) have the same junior-weight minimum, so this is
     mld_normalized(normalize(germ)).  The name is kept for its callers,
     the `cqs` command and the benchmark's trace; the brute-force scan over
-    all m-1 junior weights is `_mld_scan`, the tests' oracle.
+    all m-1 junior weights is the tests' oracle (`tests/oracles.py`).
     """
     return mld_normalized(normalize(germ))
 

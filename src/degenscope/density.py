@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .wps import B_FAMILIES, family_b_instance, family_b_lk_bound
+from .wps import B_FAMILIES, family_b_row
 
 __all__ = [
     "BoundCheck",
@@ -118,23 +118,18 @@ def count_family_A(N: int) -> int:
 
 
 def family_b_param_instances(family: str, N: int) -> list[tuple[int, int, int]]:
-    """Parameter instances (a,b,c) of the family with all entries <= N,
-    iterating n, l, k over their admissible ranges."""
+    """Parameter instances (1 + l*e, base + k*e, e) of the family with all
+    entries <= N, in (n, l, k) order: each n's row gives e, base and the
+    l/k bound, and l and k step over their admissible ranges."""
     out = []
     n = 2
     while True:
-        base = family_b_instance(family, n, 0, 0)
-        e = base[2]
+        e, base, bound = family_b_row(family, n)
         if e > N:
             break
-        bound = family_b_lk_bound(family, n)
-        l = 0
-        while l < bound and 1 + l * e <= N:
-            k = 0
-            while k < bound and base[1] + k * e <= N:
-                out.append(family_b_instance(family, n, l, k))
-                k += 1
-            l += 1
+        bs = range(base, min(base + bound * e, N + 1), e)
+        for a in range(1, min(1 + bound * e, N + 1), e):
+            out.extend([(a, b, e) for b in bs])
         n += 1
     return out
 

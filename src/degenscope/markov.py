@@ -47,10 +47,6 @@ class MarkovTriple(_MarkovTripleFields):
 
     _make = classmethod(_validated_make)
 
-    @property
-    def entries(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
 
 class _GenSolutionFields(NamedTuple):
     n: int
@@ -161,7 +157,7 @@ def toric_degenerations_of_p11n(n: int, bound: int) -> list[WpsTriple]:
     for sol in gen_solutions(n, bound):
         plane = WpsTriple(sol.x**2, sol.y**2, n)
         if not plane.well_formed:
-            raise AssertionError(f"emitted plane P{plane.weights} is not well-formed")
+            raise AssertionError(f"emitted plane P{tuple(plane)} is not well-formed")
         planes.append(plane)
     return planes
 

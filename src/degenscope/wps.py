@@ -53,10 +53,6 @@ class WpsTriple(_WpsTripleFields):
     _make = classmethod(_validated_make)
 
     @property
-    def weights(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    @property
     def well_formed(self) -> bool:
         a, b, c = self
         return gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1
@@ -155,7 +151,7 @@ _B_TABLE = {
 B_FAMILIES = tuple(_B_TABLE)
 
 
-def _b_at(family: str, n: int) -> tuple[int, int, int]:
+def family_b_row(family: str, n: int) -> tuple[int, int, int]:
     """(e, base, exclusive l/k bound) of the family at n."""
     if family not in _B_TABLE:
         raise ValueError(f"unknown family {family!r}")
@@ -168,13 +164,8 @@ def family_b_instance(family: str, n: int, l: int, k: int) -> tuple[int, int, in
     """The parameterized triple of family B1/B2/B3 at (n, l, k)."""
     if n < 2 or l < 0 or k < 0:
         raise ValueError(f"need n >= 2 and l,k >= 0, got (n,l,k)=({n},{l},{k})")
-    e, base, _ = _b_at(family, n)
+    e, base, _ = family_b_row(family, n)
     return (1 + l * e, base + k * e, e)
-
-
-def family_b_lk_bound(family: str, n: int) -> int:
-    """Exclusive upper bound for l and k in the given family at n."""
-    return _b_at(family, n)[2]
 
 
 @lru_cache(maxsize=4096)
@@ -187,7 +178,7 @@ def _b_role(e: int) -> tuple[int, str, int, int, int] | None:
     for f, (family, (s, o, _, _, _, _)) in enumerate(_B_TABLE.items()):
         n, rem = divmod(e + o, s)
         if rem == 0 and n >= 2:
-            return (f, family, n, *_b_at(family, n)[1:])
+            return (f, family, n, *family_b_row(family, n)[1:])
     return None
 
 
@@ -238,16 +229,14 @@ class Verdict(NamedTuple):
 
 
 class WpsReport(NamedTuple):
-    """Everything the CLI shows for one plane."""
+    """Everything the CLI shows for one plane: the invariants, and the
+    verdict with the fixed points and family witnesses it was made from."""
 
     triple: WpsTriple
     well_formed: bool
     k2: Fraction
-    points: tuple[PointReport, ...] | None
     mld: Fraction | None
     noether: tuple[Fraction, bool] | None
-    family_a: FamilyAWitness | None
-    family_b: FamilyBWitness | None
     verdict: Verdict
 
 
@@ -329,7 +318,9 @@ def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
 def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport]:
     """The three torus-fixed points 1/a(b,c), 1/b(a,c), 1/c(a,b), classified.
 
-    Weight-1 points report smooth.
+    Weight-1 points report smooth.  This is the plane's one well-formedness
+    proof: it raises ValueError exactly when the weights are not pairwise
+    coprime, since every germ of a well-formed plane is built from units.
     """
     a, b, c = p
     if not p.well_formed:
@@ -443,14 +434,16 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     This is the one classification pass per plane: families A and B are
     checked once, even for a plane that is not well-formed (whose only
     reason stays `not_well_formed`), and the three fixed points are
-    classified once; all of it is returned in the verdict.
+    classified once; all of it is returned in the verdict.  Well-formedness
+    is decided by `singular_points` alone, which raises for such a plane.
     """
     wa = family_A_member(p)
     wb = family_B_member(p)
-    if not p.well_formed:
+    try:
+        points = singular_points(p)
+    except ValueError:
         return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None, wa, wb)
 
-    points = singular_points(p)
     reasons: list[Reason] = []
     if wa is not None:
         reasons.append(Reason(kind="in_family_a", family_a=wa))
@@ -471,12 +464,9 @@ def analyze(p: WpsTriple) -> WpsReport:
     points = verdict.points
     return WpsReport(
         triple=p,
-        well_formed=p.well_formed,
+        well_formed=points is not None,
         k2=k2(p),
-        points=points,
         mld=None if points is None else wps_mld(points),
         noether=None if points is None else noether_check(p, points),
-        family_a=verdict.family_a,
-        family_b=verdict.family_b,
         verdict=verdict,
     )

@@ -225,7 +225,7 @@ def test_criterion_07_markov_verdicts():
     triples = [t for t in markov.classic_markov_enumerate(1000) if t.a >= 2]
     ok = len(triples) > 0
     for t in triples:
-        a, b, c = t.entries
+        a, b, c = t
         v = wps.degeneration_verdict(WpsTriple(a * a, b * b, c * c))
         if v.outcome is not Outcome.NO_NONTRIVIAL_DEGENERATIONS or v.reasons:
             ok = False

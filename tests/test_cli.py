@@ -432,6 +432,16 @@ class TestStartup:
         assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("argv", [["frobnicate"], ["markov", "frobnicate"]])
+def test_unknown_command_exits_2(capsys, argv):
+    # Both subcommand groups are required choices: argparse rejects any
+    # other name before a handler runs.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestFlagPlacement:
     def test_global_flags_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "3", "--jobs", "2", "--quiet")

@@ -29,6 +29,7 @@ from degenscope.cqs import (
     same_singularity,
     wahl,
 )
+from oracles import mld_scan
 
 
 def coprime_pairs(max_m):
@@ -419,7 +420,7 @@ class TestMld:
         # the DEGENSCOPE_MLD_LIMIT variable no longer exists: setting it
         # below the order changes nothing
         monkeypatch.setenv("DEGENSCOPE_MLD_LIMIT", "90")
-        assert mld_brute(CqsGerm(91, 1, 3)) == cqs._mld_scan(91, 1, 3)
+        assert mld_brute(CqsGerm(91, 1, 3)) == mld_scan(91, 1, 3)
         assert mld_brute(CqsGerm(89, 1, 3)) == mld_normalized(NormalizedCqs(89, 3))
 
     def test_chain_walk_matches_scan(self):
@@ -428,7 +429,7 @@ class TestMld:
         thresholds = [Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]
         for m, q in coprime_pairs(300):
             s = NormalizedCqs(m, q)
-            v = cqs._mld_scan(m, 1, q)
+            v = mld_scan(m, 1, q)
             assert mld_normalized(s) == v, (m, q)
             for thr in thresholds:
                 assert mld_less_than(s, thr) == (v < thr)
@@ -439,7 +440,7 @@ class TestMld:
         q = 1 + qseed % (m - 1)
         if gcd(m, q) != 1:
             q = 1
-        assert mld_normalized(NormalizedCqs(m, q)) == cqs._mld_scan(m, 1, q)
+        assert mld_normalized(NormalizedCqs(m, q)) == mld_scan(m, 1, q)
 
     def test_du_val_at_order_10_12(self):
         # A_{m-1} = [2^(m-1)] is one run of 2's, so the walk takes one step
@@ -502,7 +503,7 @@ class TestMld:
         thresholds = [Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]
         for m, q in coprime_pairs(60):
             s = NormalizedCqs(m, q)
-            v = cqs._mld_scan(m, 1, q)
+            v = mld_scan(m, 1, q)
             for thr in thresholds:
                 assert mld_less_than(s, thr) == (v < thr)
         assert mld_less_than(SMOOTH, Fraction(3)) and not mld_less_than(SMOOTH, Fraction(2))

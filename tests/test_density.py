@@ -125,6 +125,28 @@ class TestFamilyB:
             n += 1
         assert len(members) == count_family_B("B2", 14)
 
+    @pytest.mark.parametrize("N", [3, 14, 60, 500, 2000])
+    @pytest.mark.parametrize("family", B_FAMILIES)
+    def test_instances_against_direct_iteration(self, family, N):
+        # the (1 + l*e, base + k*e, e) of every n, l, k in that order, from
+        # the family's _B_TABLE row: e = s*n - o, base = h*n - t and l, k
+        # below ceil(num*e/den); the entries grow with l and k
+        s, o, h, t, num, den = wps._B_TABLE[family]
+        expected = []
+        n = 2
+        while s * n - o <= N:
+            e, base = s * n - o, h * n - t
+            bound = -(-num * e // den)
+            for l in range(bound):
+                if 1 + l * e > N:
+                    break
+                for k in range(bound):
+                    if base + k * e > N:
+                        break
+                    expected.append((1 + l * e, base + k * e, e))
+            n += 1
+        assert family_b_param_instances(family, N) == expected
+
     def test_instances_respect_box_and_family(self):
         for fam in ("B1", "B2", "B3"):
             for inst in family_b_param_instances(fam, 60):

@@ -13,6 +13,7 @@ import pytest
 from degenscope import cli, cqs, wps
 from degenscope.cqs import CqsGerm, NormalizedCqs, _CqsGermFields
 from degenscope.wps import GermRecord, PointReport
+from oracles import mld_scan
 
 
 def reference_decimal(f: Fraction, digits: int = 12) -> str:
@@ -38,7 +39,7 @@ def fresh_record(m: int, q: int) -> GermRecord:
     s = NormalizedCqs(m, q)
     t = cqs.classify_t(s)
     rigid, k, r = cqs.is_qg_rigid(s)
-    mld = cqs._mld_scan(m, 1, q)
+    mld = mld_scan(m, 1, q)
     return GermRecord(
         normalized=s,
         runs=cqs.hj_runs(m, q),

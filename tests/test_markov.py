@@ -26,11 +26,11 @@ class TestClassicEnumeration:
         ],
     )
     def test_examples(self, bound, expected):
-        assert [t.entries for t in classic_markov_enumerate(bound)] == expected
+        assert [tuple(t) for t in classic_markov_enumerate(bound)] == expected
 
     def test_equation_reverified_independently(self):
         for t in classic_markov_enumerate(2000):
-            a, b, c = t.entries
+            a, b, c = t
             assert a * a + b * b + c * c == 3 * a * b * c
             assert a <= b <= c
 
@@ -97,7 +97,7 @@ class TestToricDegenerations:
         ],
     )
     def test_examples(self, n, bound, expected):
-        assert [p.weights for p in toric_degenerations_of_p11n(n, bound)] == expected
+        assert [tuple(p) for p in toric_degenerations_of_p11n(n, bound)] == expected
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -115,9 +115,9 @@ class TestPartialSmoothingCandidates:
         assert [c.kind for c in cands] == ["Toric", "Toric"]
         assert [c.is_general_fiber for c in cands] == [False, True]
         toric, general = cands
-        assert toric.toric_model.weights == (1, 16, 3)
+        assert tuple(toric.toric_model) == (1, 16, 3)
         assert [(s.m, s.q) for s in toric.basket] == [(3, 1), (16, 3)]
-        assert general.toric_model.weights == (1, 1, 3)
+        assert tuple(general.toric_model) == (1, 1, 3)
         assert [(s.m, s.q) for s in general.basket] == [(3, 1)]
 
     def test_two_wahl_points(self):
@@ -139,7 +139,7 @@ class TestPartialSmoothingCandidates:
         cands = partial_smoothing_candidates(7, 1, 1)
         assert len(cands) == 1
         only = cands[0]
-        assert only.is_general_fiber and only.toric_model.weights == (1, 1, 7)
+        assert only.is_general_fiber and tuple(only.toric_model) == (1, 1, 7)
         assert [(s.m, s.q) for s in only.basket] == [(7, 1)]
 
     def test_rejects_non_solution(self):

@@ -35,9 +35,9 @@ def value_instances():
         report.verdict,
         report.verdict.reasons[0],
         report.verdict.hypotheses,
-        report.points[1],
-        report.family_a,
-        report.family_b,
+        report.verdict.points[1],
+        report.verdict.family_a,
+        report.verdict.family_b,
         cen,
         cen.bound_checks[0],
         markov.classic_markov_enumerate(5)[-1],

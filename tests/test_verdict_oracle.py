@@ -28,9 +28,9 @@ from degenscope.wps import (
     Reason,
     Verdict,
     WpsTriple,
-    _b_at,
     complement_hypotheses,
     family_A_member,
+    family_b_row,
     singular_points,
 )
 
@@ -61,7 +61,7 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     Each family solves n once per weight, for that weight as e; a
     permutation then needs l = (a'-1)/e and k = (b'-base)/e exactly,
     both inside the family's bound."""
-    w = p.weights
+    w = tuple(p)
     for family, (s, o, _, _, _, _) in _B_TABLE.items():
         ns = []
         for e in w:
@@ -73,7 +73,7 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
             n = ns[idx[2]]
             if not n:
                 continue
-            e, base, bound = _b_at(family, n)
+            e, base, bound = family_b_row(family, n)
             ap, bp = w[idx[0]], w[idx[1]]
             l, rem_l = divmod(ap - 1, e)
             k, rem_k = divmod(bp - base, e)
@@ -136,12 +136,12 @@ def test_every_ordering_of_every_triple_up_to_40():
 def test_markov_square_planes_up_to_1e30(seed):
     rng = random.Random(seed)
     triples = markov.classic_markov_enumerate(10**15)
-    assert max(t.entries[2] for t in triples) ** 2 > 10**29
+    assert max(t[2] for t in triples) ** 2 > 10**29
     for t in triples:
-        squares = [x * x for x in t.entries]
+        squares = [x * x for x in t]
         rng.shuffle(squares)
         assert_agrees(tuple(squares))
-        if t.entries[0] > 1:
+        if t[0] > 1:
             assert wps.degeneration_verdict(WpsTriple(*squares)).outcome is Outcome.NO_NONTRIVIAL_DEGENERATIONS
 
 

@@ -115,7 +115,7 @@ class TestK2:
 
     def test_markov_squares_have_degree_nine(self):
         for t in markov.classic_markov_enumerate(200):
-            a, b, c = t.entries
+            a, b, c = t
             assert k2(WpsTriple(a * a, b * b, c * c)) == 9
 
 
@@ -183,7 +183,7 @@ class TestFamilyA:
                 continue
             ap, bp, cp = w.permutation
             assert (bp + cp) % ap == 0
-            assert tuple(t.weights[i] for i in w.indices) == w.permutation
+            assert tuple(t[i] for i in w.indices) == w.permutation
 
 
 class TestFamilyB:
@@ -216,7 +216,7 @@ class TestFamilyB:
                 continue
             hits += 1
             assert w.instantiate() == w.permutation
-            assert tuple(t.weights[i] for i in w.indices) == w.permutation
+            assert tuple(t[i] for i in w.indices) == w.permutation
         assert hits > 0
 
     def test_exhaustive_against_enumeration(self):
@@ -262,7 +262,7 @@ class TestBRole:
                 continue
             roles += 1
             f, family, n = fits[0]
-            e_at, base, bound = wps._b_at(family, n)
+            e_at, base, bound = wps.family_b_row(family, n)
             assert e_at == e and role == (f, family, n, base, bound), e
         assert roles > 0
 
@@ -351,13 +351,13 @@ class TestNoetherSweep:
 class TestAnalyze:
     def test_report_shape(self):
         rep = analyze(WpsTriple(1, 5, 8))
-        assert rep.well_formed and rep.points is not None and len(rep.points) == 3
+        assert rep.well_formed and rep.verdict.points is not None and len(rep.verdict.points) == 3
         assert rep.mld == Fraction(1, 2)
-        assert rep.family_b is not None and rep.verdict.outcome is Outcome.OUT_OF_SCOPE
+        assert rep.verdict.family_b is not None and rep.verdict.outcome is Outcome.OUT_OF_SCOPE
 
     def test_report_not_well_formed(self):
         rep = analyze(WpsTriple(2, 4, 5))
-        assert not rep.well_formed and rep.points is None and rep.mld is None
+        assert not rep.well_formed and rep.verdict.points is None and rep.mld is None
 
 
 class TestOnePass:
@@ -393,23 +393,24 @@ class TestOnePass:
         assert calls == dict.fromkeys(self.COUNTED, records)
 
     def test_analyze(self, calls):
-        rep = analyze(WpsTriple(4, 25, 841))
+        analyze(WpsTriple(4, 25, 841))
         assert calls["singular_points"] == 1
-        assert rep.points is rep.verdict.points
         assert calls["family_A_member"] == 1
         assert calls["family_B_member"] == 1
         assert calls["mld_less_than"] == 1
 
     def test_analyze_not_well_formed_keeps_family_a(self, calls):
+        # The one singular_points call is the well-formedness proof; it raises.
         rep = analyze(WpsTriple(2, 4, 6))
         assert calls == {
-            "singular_points": 0,
+            "singular_points": 1,
             "family_A_member": 1,
             "family_B_member": 1,
             "mld_less_than": 0,
         }
-        assert rep.family_a is not None
-        assert (rep.family_a.permutation, rep.family_a.indices) == ((2, 4, 6), (0, 1, 2))
+        wa = rep.verdict.family_a
+        assert wa is not None
+        assert (wa.permutation, wa.indices) == ((2, 4, 6), (0, 1, 2))
         assert [r.kind for r in rep.verdict.reasons] == ["not_well_formed"]
 
     def test_new_germ_expands_its_chain_once(self, monkeypatch):
@@ -427,20 +428,16 @@ class TestOnePass:
 
 
 class TestScanBookkeeping:
-    """A warm scan plane builds no `WpsTriple.weights` tuple and no
-    validated `CqsGerm`, and proves coprimality with a bounded number of
-    `gcd` calls: the scan's filter, `well_formed` in the verdict and in
-    `singular_points`, and nothing per germ."""
+    """A warm scan plane builds no validated `CqsGerm`, and proves
+    coprimality with a bounded number of `gcd` calls: the scan's filter,
+    `well_formed` once in `singular_points` (the verdict's one proof), and
+    nothing per germ."""
 
-    MAX_GCD_PER_PLANE = 12
+    MAX_GCD_PER_PLANE = 9
 
     def test_scan_plane_counts(self, monkeypatch):
         cli.run_scan(12, lambda line: None)  # warm the germ caches
-        counts = {"weights": 0, "CqsGerm.__new__": 0, "gcd": 0}
-
-        def weights(self, _get=WpsTriple.weights.fget):
-            counts["weights"] += 1
-            return _get(self)
+        counts = {"CqsGerm.__new__": 0, "gcd": 0}
 
         def germ_new(cls, *args, _new=CqsGerm.__new__):
             counts["CqsGerm.__new__"] += 1
@@ -450,14 +447,12 @@ class TestScanBookkeeping:
             counts["gcd"] += 1
             return gcd(*args)
 
-        monkeypatch.setattr(WpsTriple, "weights", property(weights))
         monkeypatch.setattr(CqsGerm, "__new__", staticmethod(germ_new))
         for module in (wps, cli, cqs):
             monkeypatch.setattr(module, "gcd", counted_gcd)
         lines = []
         records = cli.run_scan(12, lines.append)
         assert records == len(lines) == 91
-        assert counts["weights"] == 0
         assert counts["CqsGerm.__new__"] == 0
         assert counts["gcd"] <= self.MAX_GCD_PER_PLANE * records
         # The guards count: a validated germ is seen.
