@@ -5,7 +5,6 @@ Q-Gorenstein degeneration verdicts."""
 from .cqs import (
     BasketTag,
     CqsGerm,
-    Fraction,
     NormalizedCqs,
     SMOOTH,
     TData,

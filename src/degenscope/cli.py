@@ -200,28 +200,40 @@ def point_payload(pt: wps.PointReport) -> dict:
     }
 
 
-def reason_payload(reason: wps.Reason, mld: dict[str, str] | None, explain: bool = False) -> dict:
-    """The reason's fields; `mld` holds the plane's mld fields, which an
-    `mld_at_least_one_sixth` reason carries."""
-    out: dict[str, Any] = {"kind": reason.kind}
-    if reason.mld is not None:
+def reason_payload(
+    kind: str, verdict: wps.Verdict, mld: dict[str, str] | None, explain: bool = False
+) -> dict:
+    """The fields of one reason of the verdict: a family reason carries its
+    witness from the verdict, and `mld_at_least_one_sixth` carries `mld`,
+    the plane's mld fields."""
+    out: dict[str, Any] = {"kind": kind}
+    if kind == "in_family_a":
+        out.update(verdict.family_a._asdict())
+    elif kind == "in_family_b":
+        out.update(verdict.family_b._asdict())
+    elif kind == "mld_at_least_one_sixth":
         out.update(mld)
-    if reason.family_a is not None:
-        out.update(reason.family_a._asdict())
-    if reason.family_b is not None:
-        out.update(reason.family_b._asdict())
     if explain:
-        out["explain"] = REASON_EXPLANATIONS[reason.kind]
+        out["explain"] = REASON_EXPLANATIONS[kind]
     return out
 
 
 def verdict_payload(verdict: wps.Verdict, mld: dict[str, str] | None, explain: bool = False) -> dict:
+    """The outcome, the reasons, and the informational hypothesis block of
+    the one-complement criterion (null for a plane that is not well-formed):
+    Picard-rank-one toricity is an assumption for a genuine weighted plane,
+    recorded, not computed; the basket condition never gates the verdict."""
+    points = verdict.points
     return {
         "outcome": verdict.outcome.value,
-        "reasons": [reason_payload(r, mld, explain) for r in verdict.reasons],
+        "reasons": [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons],
         "one_complement_hypotheses": None
-        if verdict.hypotheses is None
-        else verdict.hypotheses._asdict(),
+        if points is None
+        else {
+            "toric_picard_rank_one_assumed": True,
+            "mld_below_one_sixth": "mld_at_least_one_sixth" not in verdict.reasons,
+            "no_basket_points": not any(pt.record.baskets for pt in points),
+        },
     }
 
 
@@ -230,7 +242,7 @@ def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
     points = verdict.points
     out: dict[str, Any] = {
         "weights": list(report.triple),
-        "well_formed": report.well_formed,
+        "well_formed": points is not None,
     }
     out.update(frac_fields("k2", report.k2))
     out["points"] = None if points is None else [point_payload(pt) for pt in points]
@@ -290,7 +302,7 @@ def _record_payload(p: WpsTriple, explain: bool) -> dict:
     return {
         "triple": list(p),
         "verdict": verdict.outcome.value,
-        "reasons": [reason_payload(r, mld, explain) for r in verdict.reasons],
+        "reasons": [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons],
         **mld,
         **frac_fields("k2", wps.k2(p)),
     }
@@ -329,8 +341,15 @@ def fan_out(fn, tasks: list, jobs: int):
     """Yield fn(task) for each task, lazily and in task order: in this process
     when w = min(jobs, tasks, CPUs) <= 1, else through the ordered `imap` of
     a fork pool of w workers, torn down on every exit path.  `multiprocessing`
-    is imported only when that pool is forked."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    is imported only when that pool is forked.
+
+    CPUs counts the CPUs this process may run on (its affinity mask), or
+    all of the machine's where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     if workers <= 1:
         yield map(fn, tasks)
         return
@@ -404,7 +423,7 @@ def _naming(exc: OSError, path: str) -> OSError:
 # command handlers
 
 
-def _cmd_cqs(args) -> tuple[dict, list[str]]:
+def _cmd_cqs(args) -> dict:
     pt = wps.point_report(args.m, args.w1, args.w2)
     payload: dict[str, Any] = {
         "germ": pt.germ._asdict(),
@@ -416,48 +435,39 @@ def _cmd_cqs(args) -> tuple[dict, list[str]]:
         payload.update(frac_fields("mld_bound", cqs.mld_upper_bound(pt.normalized, args.bound)))
     else:
         payload.update(frac_fields("mld", cqs.mld_brute(pt.germ)))
-    return payload, []
+    return payload
 
 
-def _cmd_wps(args) -> tuple[dict, list[str]]:
+def _cmd_wps(args) -> dict:
     report = wps.analyze(WpsTriple(args.a, args.b, args.c))
-    return wps_payload(report, args.explain), []
+    return wps_payload(report, args.explain)
 
 
-def _cmd_markov(args) -> tuple[dict, list[str]]:
+def _cmd_markov(args) -> dict:
     if args.subcommand == "classic":
         triples = markov.classic_markov_enumerate(args.bound)
-        return {"bound": args.bound, "triples": [list(t) for t in triples]}, []
+        return {"bound": args.bound, "triples": [list(t) for t in triples]}
     if args.subcommand == "gen":
         sols = markov.gen_solutions(args.n, args.bound)
-        return {"n": args.n, "bound": args.bound, "solutions": [[s.x, s.y] for s in sols]}, []
+        return {"n": args.n, "bound": args.bound, "solutions": [[s.x, s.y] for s in sols]}
     if args.subcommand == "degenerations":
         planes = markov.toric_degenerations_of_p11n(args.n, args.bound)
-        return (
-            {
-                "n": args.n,
-                "bound": args.bound,
-                "planes": [
-                    {
-                        "weights": list(p),
-                        "wps": wps_payload(wps.analyze(p), args.explain),
-                    }
-                    for p in planes
-                ],
-            },
-            [],
-        )
+        return {
+            "n": args.n,
+            "bound": args.bound,
+            "planes": [
+                {"weights": list(p), "wps": wps_payload(wps.analyze(p), args.explain)}
+                for p in planes
+            ],
+        }
     # candidates: argparse accepts no other subcommand.
     cands = markov.partial_smoothing_candidates(args.n, args.x, args.y)
-    return (
-        {
-            "n": args.n,
-            "x": args.x,
-            "y": args.y,
-            "candidates": [candidate_payload(c) for c in cands],
-        },
-        [],
-    )
+    return {
+        "n": args.n,
+        "x": args.x,
+        "y": args.y,
+        "candidates": [candidate_payload(c) for c in cands],
+    }
 
 
 def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
@@ -499,18 +509,20 @@ def _dispatch(args, out) -> int:
     if args.command == "scan":
         return _run_scan_command(args, out)
 
+    # Only density can warn (a failed bound check).
+    warnings: list[str] = []
     if args.command == "cqs":
         inputs = {"m": args.m, "w1": args.w1, "w2": args.w2, "bound": args.bound}
-        payload, warnings = _cmd_cqs(args)
+        payload = _cmd_cqs(args)
     elif args.command == "wps":
         inputs = {"a": args.a, "b": args.b, "c": args.c}
-        payload, warnings = _cmd_wps(args)
+        payload = _cmd_wps(args)
     elif args.command == "markov":
         inputs = {"subcommand": args.subcommand}
         for key in ("n", "bound", "x", "y"):
             if hasattr(args, key):
                 inputs[key] = getattr(args, key)
-        payload, warnings = _cmd_markov(args)
+        payload = _cmd_markov(args)
     else:  # density: argparse accepts no other command.
         inputs = {"sizes": args.sizes, "jobs": args.jobs}
         censuses, warnings = _cmd_density(args)

@@ -18,7 +18,6 @@ from math import gcd
 from typing import NamedTuple
 
 __all__ = [
-    "Fraction",
     "CqsGerm",
     "NormalizedCqs",
     "TData",

@@ -192,50 +192,28 @@ class Outcome(Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
-class Reason(NamedTuple):
-    """One structured cause keeping a plane out of the no-degenerations regime."""
-
-    kind: str  # not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth
-    mld: Fraction | None = None
-    family_a: FamilyAWitness | None = None
-    family_b: FamilyBWitness | None = None
-
-
-class ComplementHypotheses(NamedTuple):
-    """Hypothesis report for the one-complement criterion on degenerations.
-
-    Picard-rank-one toricity is an input assumption for a genuine weighted
-    plane and is recorded, not computed.  The report is informational: the
-    basket condition is subsumed by the exceptional families and does not
-    gate the verdict.
-    """
-
-    toric_picard_rank_one_assumed: bool
-    mld_below_one_sixth: bool
-    no_basket_points: bool
-
-
 class Verdict(NamedTuple):
-    """The decision, with the classified fixed points it was made from
-    (None when the plane is not well-formed) and the family witnesses,
+    """The decision, with what it was made from: the reason kinds
+    (not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth,
+    in that order), the classified fixed points and the plane's mld (both
+    None when the plane is not well-formed), and the family witnesses,
     which are found for every plane."""
 
     outcome: Outcome
-    reasons: tuple[Reason, ...]
-    hypotheses: ComplementHypotheses | None
+    reasons: tuple[str, ...]
     points: tuple[PointReport, PointReport, PointReport] | None
     family_a: FamilyAWitness | None
     family_b: FamilyBWitness | None
+    mld: Fraction | None
 
 
 class WpsReport(NamedTuple):
     """Everything the CLI shows for one plane: the invariants, and the
-    verdict with the fixed points and family witnesses it was made from."""
+    verdict with the fixed points, mld and family witnesses it was made
+    from."""
 
     triple: WpsTriple
-    well_formed: bool
     k2: Fraction
-    mld: Fraction | None
     noether: tuple[Fraction, bool] | None
     verdict: Verdict
 
@@ -408,28 +386,15 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     return best
 
 
-def complement_hypotheses(
-    points: tuple[PointReport, PointReport, PointReport], mld_below_one_sixth: bool
-) -> ComplementHypotheses:
-    """Hypothesis booleans for the one-complement criterion; rank-one
-    toricity is recorded as an assumption, never computed."""
-    x, y, z = points
-    return ComplementHypotheses(
-        toric_picard_rank_one_assumed=True,
-        mld_below_one_sixth=mld_below_one_sixth,
-        no_basket_points=not (x.record.baskets or y.record.baskets or z.record.baskets),
-    )
-
-
 def degeneration_verdict(p: WpsTriple) -> Verdict:
     """Decide whether P(a,b,c) admits no non-trivial Q-Gorenstein klt
     degenerations.
 
     The positive verdict needs: well-formed weights, mld < 1/6, and no
-    membership in family A or B1/B2/B3.  Basket membership is reported in
-    the hypothesis block but never gates the verdict: the exceptional
-    families already absorb those cases, and Markov-square planes carry a
-    basket germ yet admit no non-trivial degenerations.
+    membership in family A or B1/B2/B3.  Basket membership never gates the
+    verdict: the exceptional families already absorb those cases, and
+    Markov-square planes carry a basket germ yet admit no non-trivial
+    degenerations.
 
     This is the one classification pass per plane: families A and B are
     checked once, even for a plane that is not well-formed (whose only
@@ -442,20 +407,18 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     try:
         points = singular_points(p)
     except ValueError:
-        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None, wa, wb)
+        return Verdict(Outcome.OUT_OF_SCOPE, ("not_well_formed",), None, wa, wb, None)
 
-    reasons: list[Reason] = []
+    reasons: list[str] = []
     if wa is not None:
-        reasons.append(Reason(kind="in_family_a", family_a=wa))
+        reasons.append("in_family_a")
     if wb is not None:
-        reasons.append(Reason(kind="in_family_b", family_b=wb))
-    below = wps_mld_below(points, ONE_SIXTH)
-    if not below:
-        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(points)))
+        reasons.append("in_family_b")
+    if not wps_mld_below(points, ONE_SIXTH):
+        reasons.append("mld_at_least_one_sixth")
 
-    hyp = complement_hypotheses(points, below)
     outcome = Outcome.NO_NONTRIVIAL_DEGENERATIONS if not reasons else Outcome.OUT_OF_SCOPE
-    return Verdict(outcome, tuple(reasons), hyp, points, wa, wb)
+    return Verdict(outcome, tuple(reasons), points, wa, wb, wps_mld(points))
 
 
 def analyze(p: WpsTriple) -> WpsReport:
@@ -464,9 +427,7 @@ def analyze(p: WpsTriple) -> WpsReport:
     points = verdict.points
     return WpsReport(
         triple=p,
-        well_formed=points is not None,
         k2=k2(p),
-        mld=None if points is None else wps_mld(points),
         noether=None if points is None else noether_check(p, points),
         verdict=verdict,
     )

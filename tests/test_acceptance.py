@@ -325,7 +325,7 @@ def test_criterion_10_determinism():
         if i % 5 == 0:
             a, b, c = (rng.randint(1, 60) for _ in range(3))
             args = parser.parse_args(["wps", str(a), str(b), str(c)])
-            payload, warnings = cli._cmd_wps(args)
+            payload = cli._cmd_wps(args)
             inputs = {"a": a, "b": b, "c": c}
             command = "wps"
         else:
@@ -333,10 +333,10 @@ def test_criterion_10_determinism():
             units = [w for w in range(m) if gcd(w, m) == 1] or [0]
             w1, w2 = rng.choice(units), rng.choice(units)
             args = parser.parse_args(["cqs", str(m), str(w1), str(w2)])
-            payload, warnings = cli._cmd_cqs(args)
+            payload = cli._cmd_cqs(args)
             inputs = {"m": m, "w1": w1, "w2": w2, "bound": None}
             command = "cqs"
-        env = cli.make_envelope(command, inputs, payload, warnings)
+        env = cli.make_envelope(command, inputs, payload, [])
         for compact in (False, True):
             text = cli.dumps_envelope(env, compact=compact)
             if cli.dumps_envelope(json.loads(text), compact=compact) != text:

@@ -38,6 +38,11 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def usable_cpus(monkeypatch, n):
+    """Let `fan_out` see n CPUs in this process's affinity mask."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def scan_lines(N, **kwargs):
     """The output lines `run_scan` writes, after checking its record count."""
     lines = []
@@ -342,18 +347,32 @@ class TestJobs:
     def test_scan_pool_clamped(self, monkeypatch):
         ctx = _RecordingContext()
         monkeypatch.setattr(cli, "get_context", lambda method: ctx)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        usable_cpus(monkeypatch, 3)
         serial = scan_lines(6, jobs=1)
         assert scan_lines(6, jobs=10**6) == serial  # clamped to the 3 CPUs
         assert scan_lines(2, jobs=10**6) == scan_lines(2, jobs=1)  # clamped to the 2 tasks
+        # A platform without an affinity call counts the machine's CPUs.
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert scan_lines(6, jobs=8) == serial
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert scan_lines(6, jobs=8) == serial  # unknown CPU count: serial
-        assert ctx.pool_sizes == [3, 2] and ctx.live == 0
+        assert ctx.pool_sizes == [3, 2, 2] and ctx.live == 0
+
+    def test_one_usable_cpu_runs_in_process(self, capsys, monkeypatch):
+        # As under `taskset -c 0` on a 2-CPU machine: the process may run on
+        # one CPU, so --jobs 2 forks no pool.
+        ctx = _RecordingContext()
+        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 1)
+        assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
+        assert ctx.pool_sizes == []
 
     def test_only_the_scan_records_start_a_pool(self, capsys, monkeypatch):
         ctx = _RecordingContext()
         monkeypatch.setattr(cli, "get_context", lambda method: ctx)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         assert run_cli(capsys, "--jobs", "2", "density", "50")[0] == EXIT_OK
         assert ctx.pool_sizes == []
         assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
@@ -363,7 +382,7 @@ class TestJobs:
     def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, jobs):
         ctx = _RecordingContext()
         monkeypatch.setattr(cli, "get_context", lambda method: ctx)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         events = []
 
         def spied(args, _fn=cli._scan_slice):
@@ -379,7 +398,7 @@ class TestJobs:
     def test_failing_write_exits_the_pool(self, monkeypatch):
         ctx = _RecordingContext()
         monkeypatch.setattr(cli, "get_context", lambda method: ctx)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         written = []
 
         def write(line):
@@ -425,7 +444,7 @@ class TestStartup:
             return contexts[-1]
 
         monkeypatch.setattr(cli, "get_context", recording_get_context)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         code, out, _ = run_cli(capsys, "--jobs", "2", "--quiet", "scan", "6")
         assert code == EXIT_OK and out == ""
         assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
@@ -577,9 +596,9 @@ class TestChainRunsWriter:
         germs = [(1, 0)] + [(m, q) for m in range(2, 201) for q in range(1, m) if gcd(m, q) == 1]
         for m, q in germs:
             args = SimpleNamespace(m=m, w1=1, w2=q, bound=None)
-            payload, warnings = cli._cmd_cqs(args)
+            payload = cli._cmd_cqs(args)
             assert type(payload["chain"]) is cli.ChainRuns
-            self.check(cli.make_envelope("cqs", vars(args), payload, warnings))
+            self.check(cli.make_envelope("cqs", vars(args), payload, []))
 
     @pytest.mark.parametrize(
         "runs",

@@ -10,6 +10,7 @@ payloads themselves catches the leak.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -94,9 +95,11 @@ def test_wps_payloads(weights):
 
 
 @pytest.mark.parametrize("m,w1,w2,bound", GOLDEN_GERMS, ids=lambda v: str(v))
-def test_cqs_payloads(m, w1, w2, bound):
-    payload, warnings = cli._cmd_cqs(SimpleNamespace(m=m, w1=w1, w2=w2, bound=bound))
-    assert foreign_nodes(payload) == [] and warnings == []
+def test_cqs_payloads(capsys, m, w1, w2, bound):
+    assert foreign_nodes(cli._cmd_cqs(SimpleNamespace(m=m, w1=w1, w2=w2, bound=bound))) == []
+    argv = ["cqs", str(m), str(w1), str(w2)] + ([] if bound is None else ["--bound", str(bound)])
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
 
 
 def test_census_and_candidate_payloads():

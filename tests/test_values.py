@@ -13,8 +13,8 @@ from degenscope.wps import WpsTriple
 
 VALUE_TYPES = {
     "CqsGerm", "NormalizedCqs", "TData", "BasketTag",
-    "WpsTriple", "PointReport", "FamilyAWitness", "FamilyBWitness", "Reason",
-    "ComplementHypotheses", "Verdict", "WpsReport",
+    "WpsTriple", "PointReport", "FamilyAWitness", "FamilyBWitness",
+    "Verdict", "WpsReport",
     "BoundCheck", "DensityCensus",
     "MarkovTriple", "GenSolution", "CentralFiberCandidate",
 }
@@ -22,7 +22,7 @@ VALUE_TYPES = {
 
 def value_instances():
     # P(1,3,4) lies in family A and in family B1 (n = 2), so its report
-    # carries both witnesses and two reasons.
+    # carries both witnesses.
     report = wps.analyze(WpsTriple(1, 3, 4))
     cen = density.census(7)
     return [
@@ -33,8 +33,6 @@ def value_instances():
         report,
         report.triple,
         report.verdict,
-        report.verdict.reasons[0],
-        report.verdict.hypotheses,
         report.verdict.points[1],
         report.verdict.family_a,
         report.verdict.family_b,

@@ -6,7 +6,13 @@ threshold with one `mld_less_than` call on that point; `family_B_member`
 reads each weight's cached family roles.  The reference below keeps the
 earlier bodies verbatim: the plane mld as the `min` of the point Fractions,
 a threshold decided by asking every point, and the B families solved again
-for each plane.  Verdicts must agree in full, reasons and witnesses included.
+for each plane.  Verdicts must agree in full, reasons, witnesses and mld
+included.
+
+The one-complement hypothesis block is built by `cli.verdict_payload` from
+the verdict; the reference keeps the library's earlier
+`complement_hypotheses` body verbatim, and the block must equal it for
+every plane.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
-from degenscope import cqs, markov, wps
+from degenscope import cli, cqs, markov, wps
 from degenscope.wps import (
     _B_TABLE,
     _INDEX_PERMUTATIONS,
@@ -25,10 +32,8 @@ from degenscope.wps import (
     FamilyBWitness,
     Outcome,
     PointReport,
-    Reason,
     Verdict,
     WpsTriple,
-    complement_hypotheses,
     family_A_member,
     family_b_row,
     singular_points,
@@ -84,25 +89,51 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
     return None
 
 
+class ComplementHypotheses(NamedTuple):
+    """Hypothesis report for the one-complement criterion on degenerations.
+
+    Picard-rank-one toricity is an input assumption for a genuine weighted
+    plane and is recorded, not computed.  The report is informational: the
+    basket condition is subsumed by the exceptional families and does not
+    gate the verdict.
+    """
+
+    toric_picard_rank_one_assumed: bool
+    mld_below_one_sixth: bool
+    no_basket_points: bool
+
+
+def complement_hypotheses(
+    points: tuple[PointReport, PointReport, PointReport], mld_below_one_sixth: bool
+) -> ComplementHypotheses:
+    """Hypothesis booleans for the one-complement criterion; rank-one
+    toricity is recorded as an assumption, never computed."""
+    x, y, z = points
+    return ComplementHypotheses(
+        toric_picard_rank_one_assumed=True,
+        mld_below_one_sixth=mld_below_one_sixth,
+        no_basket_points=not (x.record.baskets or y.record.baskets or z.record.baskets),
+    )
+
+
 def degeneration_verdict(p: WpsTriple) -> Verdict:
     wa = family_A_member(p)
     wb = family_B_member(p)
     if not p.well_formed:
-        return Verdict(Outcome.OUT_OF_SCOPE, (Reason(kind="not_well_formed"),), None, None, wa, wb)
+        return Verdict(Outcome.OUT_OF_SCOPE, ("not_well_formed",), None, wa, wb, None)
 
     points = singular_points(p)
-    reasons: list[Reason] = []
+    reasons: list[str] = []
     if wa is not None:
-        reasons.append(Reason(kind="in_family_a", family_a=wa))
+        reasons.append("in_family_a")
     if wb is not None:
-        reasons.append(Reason(kind="in_family_b", family_b=wb))
+        reasons.append("in_family_b")
     below = wps_mld_below(points, ONE_SIXTH)
     if not below:
-        reasons.append(Reason(kind="mld_at_least_one_sixth", mld=wps_mld(points)))
+        reasons.append("mld_at_least_one_sixth")
 
-    hyp = complement_hypotheses(points, below)
     outcome = Outcome.NO_NONTRIVIAL_DEGENERATIONS if not reasons else Outcome.OUT_OF_SCOPE
-    return Verdict(outcome, tuple(reasons), hyp, points, wa, wb)
+    return Verdict(outcome, tuple(reasons), points, wa, wb, wps_mld(points))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +144,16 @@ def assert_agrees(weights: tuple[int, int, int]) -> None:
     p = WpsTriple(*weights)
     verdict = wps.degeneration_verdict(p)
     assert verdict == degeneration_verdict(p), weights
-    if verdict.points is None:
-        return
     points = verdict.points
+    mld_fields = None if points is None else cli._mld_fields(wps.lowest_germ(points))
+    hypotheses = cli.verdict_payload(verdict, mld_fields)["one_complement_hypotheses"]
+    if points is None:
+        assert hypotheses is None, weights
+        return
+    reference = complement_hypotheses(points, wps_mld_below(points, ONE_SIXTH))
+    assert list(hypotheses.items()) == list(reference._asdict().items()), weights
     mld = wps_mld(points)
+    assert verdict.mld == mld, weights
     assert wps.wps_mld(points) == mld, weights
     low = wps.lowest_germ(points)
     assert low.mld == mld and Fraction(low.mld_u, low.normalized.m) == mld, weights

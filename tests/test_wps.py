@@ -272,31 +272,29 @@ class TestVerdict:
         v = degeneration_verdict(WpsTriple(4, 25, 841))
         assert v.outcome is Outcome.NO_NONTRIVIAL_DEGENERATIONS
         assert v.reasons == ()
-        assert v.hypotheses is not None
-        assert v.hypotheses.mld_below_one_sixth
-        assert not v.hypotheses.no_basket_points  # the [4] point
+        assert v.points is not None
+        assert v.mld < Fraction(1, 6)
+        assert any(pt.baskets for pt in v.points)  # the [4] point
 
     def test_exceptional_plane(self):
         v = degeneration_verdict(WpsTriple(1, 5, 8))
         assert v.outcome is Outcome.OUT_OF_SCOPE
-        kinds = [r.kind for r in v.reasons]
-        assert kinds == ["in_family_a", "in_family_b", "mld_at_least_one_sixth"]
-        assert v.reasons[1].family_b.family == "B1"
-        assert v.reasons[2].mld == Fraction(1, 2)
+        assert v.reasons == ("in_family_a", "in_family_b", "mld_at_least_one_sixth")
+        assert v.family_b.family == "B1"
+        assert v.mld == Fraction(1, 2)
 
     def test_projective_plane(self):
         v = degeneration_verdict(WpsTriple(1, 1, 1))
         assert v.outcome is Outcome.OUT_OF_SCOPE
-        kinds = [r.kind for r in v.reasons]
-        assert kinds == ["in_family_a", "mld_at_least_one_sixth"]
-        assert v.reasons[1].mld == Fraction(2)
-        assert v.hypotheses.no_basket_points
+        assert v.reasons == ("in_family_a", "mld_at_least_one_sixth")
+        assert v.mld == Fraction(2)
+        assert not any(pt.baskets for pt in v.points)
 
     def test_not_well_formed(self):
         v = degeneration_verdict(WpsTriple(2, 4, 5))
         assert v.outcome is Outcome.OUT_OF_SCOPE
-        assert [r.kind for r in v.reasons] == ["not_well_formed"]
-        assert v.hypotheses is None
+        assert v.reasons == ("not_well_formed",)
+        assert v.points is None and v.mld is None
 
     def test_permutation_invariance(self):
         rng = random.Random(17)
@@ -307,7 +305,7 @@ class TestVerdict:
         for t in triples:
             verdicts = [degeneration_verdict(WpsTriple(*p)) for p in permutations(t)]
             outcomes = {v.outcome for v in verdicts}
-            kind_sets = {frozenset(r.kind for r in v.reasons) for v in verdicts}
+            kind_sets = {frozenset(v.reasons) for v in verdicts}
             assert len(outcomes) == 1 and len(kind_sets) == 1
 
 
@@ -351,13 +349,13 @@ class TestNoetherSweep:
 class TestAnalyze:
     def test_report_shape(self):
         rep = analyze(WpsTriple(1, 5, 8))
-        assert rep.well_formed and rep.verdict.points is not None and len(rep.verdict.points) == 3
-        assert rep.mld == Fraction(1, 2)
+        assert rep.verdict.points is not None and len(rep.verdict.points) == 3
+        assert rep.verdict.mld == Fraction(1, 2)
         assert rep.verdict.family_b is not None and rep.verdict.outcome is Outcome.OUT_OF_SCOPE
 
     def test_report_not_well_formed(self):
         rep = analyze(WpsTriple(2, 4, 5))
-        assert not rep.well_formed and rep.verdict.points is None and rep.mld is None
+        assert rep.verdict.points is None and rep.verdict.mld is None
 
 
 class TestOnePass:
@@ -411,7 +409,7 @@ class TestOnePass:
         wa = rep.verdict.family_a
         assert wa is not None
         assert (wa.permutation, wa.indices) == ((2, 4, 6), (0, 1, 2))
-        assert [r.kind for r in rep.verdict.reasons] == ["not_well_formed"]
+        assert rep.verdict.reasons == ("not_well_formed",)
 
     def test_new_germ_expands_its_chain_once(self, monkeypatch):
         expanded = []
