@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -21,12 +20,13 @@ from fractions import Fraction
 from itertools import chain as concat, repeat, starmap
 from json.encoder import encode_basestring
 from math import gcd
+from types import SimpleNamespace
 from typing import Any
 
 from . import cqs, density, markov, wps
-# Unused here; kept bound because bench/test_bench.py checks that the
-# benchmark's trace patches cli.normalize.
-from .cqs import normalize  # noqa: F401
+# `normalize` is unused here; kept bound because bench/test_bench.py checks
+# that the benchmark's trace patches cli.normalize.
+from .cqs import _tuple_new, normalize  # noqa: F401
 from .markov import NotASolution
 from .wps import WpsTriple
 
@@ -48,7 +48,7 @@ REASON_EXPLANATIONS = {
 
 
 def frac_fields(name: str, f: Fraction) -> dict[str, str]:
-    n, d = f.numerator, f.denominator
+    n, d = f.as_integer_ratio()
     return {name: cqs.ratio_str(n, d), f"{name}_decimal": cqs.ratio_decimal(n, d)}
 
 
@@ -83,8 +83,11 @@ def _expand_chain(obj: Any) -> list[int]:
 
 
 # The encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
-# builds for every call, built once, which also expands a ChainRuns.
-_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=_expand_chain)
+# builds for every call, built once, which also expands a ChainRuns.  Payloads
+# are fresh trees, so it skips the cycle check (a cycle raises RecursionError).
+_COMPACT = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"), default=_expand_chain, check_circular=False
+)
 
 
 def dumps_envelope(env: dict, compact: bool = False) -> str:
@@ -301,7 +304,8 @@ def _record_payload(p: WpsTriple, explain: bool) -> dict:
     mld = _mld_fields(wps.lowest_germ(verdict.points))
     return {
         "triple": list(p),
-        "verdict": verdict.outcome.value,
+        # `_value_` is the plain attribute behind the Enum's `value` property.
+        "verdict": verdict.outcome._value_,
         "reasons": [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons],
         **mld,
         **frac_fields("k2", wps.k2(p)),
@@ -313,17 +317,19 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
     well-formed triples a <= b <= c <= N for one value of a."""
     N, a, explain, csv_format = args
     lines = []
+    append = lines.append
     for b in range(a, N + 1):
         if gcd(a, b) != 1:
             continue
         for c in range(b, N + 1):
             if gcd(a, c) == 1 and gcd(b, c) == 1:
-                rec = _record_payload(WpsTriple(a, b, c), explain)
+                # 1 <= a <= b <= c: valid weights, built without checking again.
+                rec = _record_payload(_tuple_new(WpsTriple, (a, b, c)), explain)
                 if csv_format:
                     kinds = ";".join(r["kind"] for r in rec["reasons"])
-                    lines.append(_csv_line([a, b, c, rec["verdict"], kinds, rec["mld"], rec["k2"]]))
+                    append(_csv_line([a, b, c, rec["verdict"], kinds, rec["mld"], rec["k2"]]))
                 else:
-                    lines.append(dumps_envelope(record_envelope(rec), compact=True))
+                    append(dumps_envelope(record_envelope(rec), compact=True))
     return lines
 
 
@@ -384,11 +390,9 @@ def record_envelope(record: dict) -> dict:
     return make_envelope("scan-record", {"triple": record["triple"]}, record, [])
 
 
-def _csv_line(row) -> str:
-    """One CSV row without its CRLF terminator."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(row)
-    return buf.getvalue()
+# One CSV row without its CRLF terminator, from one writer per process:
+# `writerow` returns what its file's `write` returns, and `str` returns the row.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
 
 
 @contextlib.contextmanager

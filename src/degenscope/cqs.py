@@ -408,8 +408,9 @@ def mld_upper_bound(s: NormalizedCqs, T: int) -> Fraction:
 def mld_less_than(s: NormalizedCqs, threshold: Fraction) -> bool:
     """Exact decision mld(s) < threshold, by cross-multiplying the
     (positive) denominators rather than through `Fraction.__lt__`."""
-    f = mld_normalized(s)
-    return f.numerator * threshold.denominator < threshold.numerator * f.denominator
+    n, d = mld_normalized(s).as_integer_ratio()
+    tn, td = threshold.as_integer_ratio()
+    return n * td < tn * d
 
 
 def wahl(n: int, a: int) -> NormalizedCqs:

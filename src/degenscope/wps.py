@@ -13,7 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
@@ -30,8 +29,6 @@ from .cqs import (
 )
 
 ONE_SIXTH = Fraction(1, 6)
-
-_INDEX_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 
 
 class _WpsTripleFields(NamedTuple):
@@ -273,8 +270,7 @@ def _fixed_point(weight: int, other1: int, other2: int) -> PointReport:
     other two weights are coprime to this one): the germ is built without
     checking that again."""
     germ = _tuple_new(CqsGerm, (weight, other1 % weight, other2 % weight))
-    s = normalize(germ)
-    return _tuple_new(PointReport, (weight, germ, _point_core(s.m, s.q)))
+    return _tuple_new(PointReport, (weight, germ, _point_core(*normalize(germ))))
 
 
 def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
@@ -301,7 +297,7 @@ def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport
     coprime, since every germ of a well-formed plane is built from units.
     """
     a, b, c = p
-    if not p.well_formed:
+    if gcd(a, b) != 1 or gcd(b, c) != 1 or gcd(a, c) != 1:
         raise ValueError(f"P{(a, b, c)} is not well-formed (weights not pairwise coprime)")
     return (_fixed_point(a, b, c), _fixed_point(b, a, c), _fixed_point(c, a, b))
 
@@ -342,15 +338,20 @@ def wps_mld_below(points: tuple[PointReport, ...], threshold: Fraction = ONE_SIX
 
 
 def family_A_member(p: WpsTriple) -> FamilyAWitness | None:
-    """First permutation (a',b',c') of the weights with b'+c' == 0 mod a'.
+    """First permutation (a',b',c') of the weights, in lexicographic index
+    order, with b'+c' == 0 mod a'.  The test depends on a' alone, so only
+    (0,1,2), (1,0,2) and (2,0,1), the first to put each weight first, are tried.
 
     Matches planes carrying a Du Val fixed point or a smooth torus-fixed
     point; well-formedness is not required.
     """
-    for idx in _INDEX_PERMUTATIONS:
-        ap, bp, cp = p[idx[0]], p[idx[1]], p[idx[2]]
-        if (bp + cp) % ap == 0:
-            return FamilyAWitness(permutation=(ap, bp, cp), indices=idx)
+    a, b, c = p
+    if (b + c) % a == 0:
+        return _tuple_new(FamilyAWitness, ((a, b, c), (0, 1, 2)))
+    if (a + c) % b == 0:
+        return _tuple_new(FamilyAWitness, ((b, a, c), (1, 0, 2)))
+    if (a + b) % c == 0:
+        return _tuple_new(FamilyAWitness, ((c, a, b), (2, 0, 1)))
     return None
 
 
@@ -409,16 +410,16 @@ def degeneration_verdict(p: WpsTriple) -> Verdict:
     except ValueError:
         return Verdict(Outcome.OUT_OF_SCOPE, ("not_well_formed",), None, wa, wb, None)
 
-    reasons: list[str] = []
+    reasons = ()
     if wa is not None:
-        reasons.append("in_family_a")
+        reasons += ("in_family_a",)
     if wb is not None:
-        reasons.append("in_family_b")
+        reasons += ("in_family_b",)
     if not wps_mld_below(points, ONE_SIXTH):
-        reasons.append("mld_at_least_one_sixth")
+        reasons += ("mld_at_least_one_sixth",)
 
-    outcome = Outcome.NO_NONTRIVIAL_DEGENERATIONS if not reasons else Outcome.OUT_OF_SCOPE
-    return Verdict(outcome, tuple(reasons), points, wa, wb, wps_mld(points))
+    outcome = Outcome.OUT_OF_SCOPE if reasons else Outcome.NO_NONTRIVIAL_DEGENERATIONS
+    return _tuple_new(Verdict, (outcome, reasons, points, wa, wb, wps_mld(points)))
 
 
 def analyze(p: WpsTriple) -> WpsReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 import pytest
@@ -27,7 +27,6 @@ import pytest
 from degenscope import cli, cqs, markov, wps
 from degenscope.wps import (
     _B_TABLE,
-    _INDEX_PERMUTATIONS,
     ONE_SIXTH,
     FamilyBWitness,
     Outcome,
@@ -40,6 +39,8 @@ from degenscope.wps import (
 )
 
 THRESHOLDS = (Fraction(1, 7), Fraction(1, 6), Fraction(1, 5), Fraction(1), Fraction(2))
+
+_INDEX_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,26 @@ class TestFamilyA:
             assert (bp + cp) % ap == 0
             assert tuple(t[i] for i in w.indices) == w.permutation
 
+    def test_exhaustive_against_six_permutations(self):
+        # The six-permutation walk in lexicographic index order is the
+        # reference: the same witness, permutation and indices, or None on
+        # every ordered triple of [1,40]^3.
+        order = tuple(permutations((0, 1, 2)))
+
+        def reference(t):
+            for idx in order:
+                ap, bp, cp = (t[i] for i in idx)
+                if (bp + cp) % ap == 0:
+                    return (ap, bp, cp), idx
+            return None
+
+        hits = 0
+        for t in product(range(1, 41), repeat=3):
+            w = family_A_member(WpsTriple(*t))
+            assert (None if w is None else tuple(w)) == reference(t), t
+            hits += w is not None
+        assert 0 < hits < 40**3
+
 
 class TestFamilyB:
     @pytest.mark.parametrize(
