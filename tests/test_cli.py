@@ -2,11 +2,11 @@ import contextlib
 import errno
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from math import gcd
 from types import SimpleNamespace
 
@@ -304,29 +304,67 @@ class TestScanCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
 
-class _RecordingContext:
-    """Stands in for a multiprocessing context: records each pool size and
-    how many pools are not yet exited, and runs the pool's imap lazily in
-    this process."""
+class _ForkRecorder:
+    """Wraps `os.fork` and `cli.fan_out` for one test: records the pids of
+    the workers forked, as this process sees them, and the number each
+    `fan_out` call forked (0 for one that ran in this process)."""
 
-    def __init__(self):
-        self.pool_sizes = []
-        self.live = 0
+    def __init__(self, monkeypatch):
+        self.pids, self.pool_sizes = [], []
+        fork, fan_out = os.fork, cli.fan_out
 
-    def Pool(self, processes):
-        self.pool_sizes.append(processes)
-        self.live += 1
-        return self
+        def recording_fork():
+            pid = fork()
+            if pid:
+                self.pids.append(pid)
+            return pid
 
-    def __enter__(self):
-        return self
+        @contextlib.contextmanager
+        def recording_fan_out(*args):
+            before = len(self.pids)
+            try:
+                with fan_out(*args) as results:
+                    yield results
+            finally:
+                self.pool_sizes.append(len(self.pids) - before)
 
-    def __exit__(self, *exc):
-        self.live -= 1
-        return False
+        monkeypatch.setattr(cli.os, "fork", recording_fork)
+        monkeypatch.setattr(cli, "fan_out", recording_fan_out)
 
-    def imap(self, fn, tasks):
-        return (fn(t) for t in tasks)
+    def all_reaped(self):
+        """Whether every recorded worker has exited and been reaped."""
+        for pid in self.pids:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+
+def no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def append_line(path, text):
+    """Append one line with one O_APPEND write, so lines from forked workers
+    and from this process never interleave within a line."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, (text + "\n").encode())
+    finally:
+        os.close(fd)
+
+
+def wait_for(path, timeout_s=20):
+    deadline = time.monotonic() + timeout_s
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.005)
 
 
 class TestJobs:
@@ -345,8 +383,7 @@ class TestJobs:
         assert code == EXIT_INVALID_INPUT and out == "" and "--jobs" in err
 
     def test_scan_pool_clamped(self, monkeypatch):
-        ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 3)
         serial = scan_lines(6, jobs=1)
         assert scan_lines(6, jobs=10**6) == serial  # clamped to the 3 CPUs
@@ -357,47 +394,62 @@ class TestJobs:
         assert scan_lines(6, jobs=8) == serial
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert scan_lines(6, jobs=8) == serial  # unknown CPU count: serial
-        assert ctx.pool_sizes == [3, 2, 2] and ctx.live == 0
+        assert forks.pool_sizes == [0, 3, 2, 0, 2, 0]
+        assert len(forks.pids) == 7 and forks.all_reaped()
 
     def test_one_usable_cpu_runs_in_process(self, capsys, monkeypatch):
         # As under `taskset -c 0` on a 2-CPU machine: the process may run on
-        # one CPU, so --jobs 2 forks no pool.
-        ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        # one CPU, so --jobs 2 forks no worker.
+        forks = _ForkRecorder(monkeypatch)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         usable_cpus(monkeypatch, 1)
         assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
-        assert ctx.pool_sizes == []
+        assert forks.pool_sizes == [0] and forks.pids == []
 
     def test_only_the_scan_records_start_a_pool(self, capsys, monkeypatch):
-        ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
         assert run_cli(capsys, "--jobs", "2", "density", "50")[0] == EXIT_OK
-        assert ctx.pool_sizes == []
+        assert forks.pool_sizes == [] and forks.pids == []
         assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
-        assert ctx.pool_sizes == [2] and ctx.live == 0
+        assert forks.pool_sizes == [2] and len(forks.pids) == 2 and forks.all_reaped()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, jobs):
-        ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+    def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, tmp_path, jobs):
+        # Task 2 waits until a line of task 1 has been written, then logs
+        # itself.  At jobs=1 it runs after task 1; with two real workers it
+        # runs beside task 1.  Either way it is logged after that line only
+        # if the scan writes task 1's lines as soon as that task is back.
+        forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
-        events = []
+        log, marker = tmp_path / "events", tmp_path / "task-1-written"
 
         def spied(args, _fn=cli._scan_slice):
-            events.append(("task", args[1]))
+            if args[1] == 2:
+                wait_for(marker)
+            append_line(log, f"task {args[1]}")
             return _fn(args)
 
+        def write(line):
+            a = json.loads(line)["input"]["triple"][0]
+            append_line(log, f"line {a}")
+            if a == 1:
+                marker.touch()
+
         monkeypatch.setattr(cli, "_scan_slice", spied)
-        run_scan(6, lambda line: events.append(("line", json.loads(line)["input"]["triple"][0])), jobs=jobs)
-        assert events.index(("line", 1)) < events.index(("task", 2))
-        assert [e for e in events if e[0] == "task"] == [("task", a) for a in range(1, 7)]
-        assert ctx.pool_sizes == ([2] if jobs == 2 else [])
+        run_scan(6, write, jobs=jobs)
+        events = log.read_text().splitlines()
+        assert events.index("line 1") < events.index("task 2")
+        tasks = [e for e in events if e.startswith("task")]
+        assert sorted(tasks) == [f"task {a}" for a in range(1, 7)]
+        if jobs == 1:
+            assert tasks == sorted(tasks)
+        lines = [int(e.split()[1]) for e in events if e.startswith("line")]
+        assert lines == sorted(lines)
+        assert forks.pool_sizes == [0 if jobs == 1 else 2] and forks.all_reaped()
 
     def test_failing_write_exits_the_pool(self, monkeypatch):
-        ctx = _RecordingContext()
-        monkeypatch.setattr(cli, "get_context", lambda method: ctx)
+        forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
         written = []
 
@@ -410,25 +462,88 @@ class TestJobs:
         with pytest.raises(OSError):
             run_scan(8, write, jobs=2)
         assert written and set(written) == {1}
-        assert ctx.pool_sizes == [2] and ctx.live == 0
+        assert forks.pool_sizes == [2] and forks.all_reaped()
 
-    def test_failing_write_leaves_no_worker_behind(self):
+    def test_failing_write_leaves_no_worker_behind(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
         def write(line):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         with pytest.raises(OSError):
             run_scan(8, write, jobs=2)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+
+def _padded(i):
+    return f"{i:0100d}"
+
+
+class TestForkedFanOut:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_many_tasks_come_back_complete_and_in_order(self, monkeypatch, workers):
+        # Far more task indices, and result bytes, than a pipe buffer holds:
+        # the feed must not fill up while the results wait to be read.  Three
+        # workers are more than a 2-CPU machine runs at once.
+        forks = _ForkRecorder(monkeypatch)
+        usable_cpus(monkeypatch, workers)
+        tasks = list(range(20_000))
+        with cli.fan_out(_padded, tasks, workers) as results:
+            assert list(results) == [_padded(t) for t in tasks]
+        assert len(forks.pids) == workers and forks.all_reaped()
+
+    def test_first_result_arrives_before_the_last_task_ends(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        marker, log = tmp_path / "first-result-seen", tmp_path / "events"
+
+        def task(i):
+            if i == 5:
+                wait_for(marker)
+                append_line(log, "last task ends")
+            return [str(i)]
+
+        with cli.fan_out(task, list(range(6)), 2) as results:
+            for lines in results:
+                if lines == ["0"]:
+                    append_line(log, "first result")
+                    marker.touch()
+        assert log.read_text().splitlines() == ["first result", "last task ends"]
+        assert no_child_left()
+
+    def test_a_failing_task_fails_the_scan(self, monkeypatch, tmp_path, capfd):
+        usable_cpus(monkeypatch, 2)
+
+        def spied(args, _fn=cli._scan_slice):
+            if args[1] == 3:
+                raise ArithmeticError("task 3 broke")
+            return _fn(args)
+
+        monkeypatch.setattr(cli, "_scan_slice", spied)
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            run_scan(8, lambda line: None, jobs=2)
+        assert no_child_left()
+        assert "ArithmeticError: task 3 broke" in capfd.readouterr().err
+
+        target = tmp_path / "records.jsonl"
+        target.write_text("previous run\n")
+        code = main(["--jobs", "2", "scan", "8", "--out", str(target)])
+        err = capfd.readouterr().err
+        assert code == EXIT_IO_FAILURE and "error: scan worker" in err and "task 3 broke" in err
+        assert target.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+        assert no_child_left()
 
 
 class TestStartup:
     def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(self):
+        # Nor `select` or `signal`, which only the forked fan-out imports.
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "from degenscope import cli\n"
             "assert cli.main(['cqs', '1', '1', '1']) == 0\n"
-            "loaded = {'dataclasses', 'multiprocessing'} & (set(sys.modules) - before)\n"
+            "modules = {'dataclasses', 'multiprocessing', 'select', 'signal'}\n"
+            "loaded = modules & (set(sys.modules) - before)\n"
             "assert not loaded, sorted(loaded)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -436,19 +551,27 @@ class TestStartup:
         assert json.loads(proc.stdout)["result"]["smooth"] is True
 
     def test_scan_with_two_jobs_forks_a_real_pool(self, capsys, monkeypatch):
-        contexts = []
-        real_get_context = cli.get_context
-
-        def recording_get_context(method):
-            contexts.append(real_get_context(method))
-            return contexts[-1]
-
-        monkeypatch.setattr(cli, "get_context", recording_get_context)
+        forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
         code, out, _ = run_cli(capsys, "--jobs", "2", "--quiet", "scan", "6")
         assert code == EXIT_OK and out == ""
-        assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
-        assert multiprocessing.active_children() == []
+        assert forks.pool_sizes == [2] and len(forks.pids) == 2 and forks.all_reaped()
+
+    def test_two_job_scan_loads_neither_multiprocessing_nor_pickle(self):
+        code = (
+            "import os, sys\n"
+            "from degenscope import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "assert cli.main(['--jobs', '2', '--quiet', 'scan', '6']) == 0\n"
+            "assert len(forks) == 2, forks\n"
+            "loaded = {'multiprocessing', 'pickle'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [["frobnicate"], ["markov", "frobnicate"]])

@@ -51,9 +51,26 @@ def _hj_expand_steps(m, q):
     return tuple(entries)
 
 
+# The basket chain shapes, written out here and not read from the library's
+# table: F1-F4 are a fixed prefix followed by k >= 0 twos, and D is the
+# exact shape [2,n,2], n >= 2 (matched in the oracle below).
+_BASKET_SHAPES = (
+    ("F1", "[3,2^k]", (3,)),
+    ("F2", "[4,2^k]", (4,)),
+    ("F2", "[2,3,2^k]", (2, 3)),
+    ("F3", "[5,2^k]", (5,)),
+    ("F3", "[2,2,3,2^k]", (2, 2, 3)),
+    ("F4", "[6,2^k]", (6,)),
+    ("F4", "[2,2,2,3,2^k]", (2, 2, 2, 3)),
+    ("F4", "[2,4,2^k]", (2, 4)),
+    ("F4", "[3,3,2^k]", (3, 3)),
+)
+
+
 def _basket_membership_reversal(chain):
-    """Oracle for `basket_membership`: match every pattern on the chain and
-    on a reversed copy, slicing off each prefix's tail."""
+    """Oracle for `basket_membership`: match every shape of `_BASKET_SHAPES`
+    and D on the chain and on a reversed copy, slicing off each prefix's
+    tail."""
 
     def match_prefix(c, prefix):
         if len(c) < len(prefix) or c[: len(prefix)] != prefix:
@@ -67,7 +84,7 @@ def _basket_membership_reversal(chain):
         raise ValueError("basket membership needs a singular germ (non-empty chain)")
     tags = set()
     for c in {chain, chain[::-1]}:
-        for family, pattern, prefix in cqs._BASKET_PREFIXES:
+        for family, pattern, prefix in _BASKET_SHAPES:
             k = match_prefix(c, prefix)
             if k is not None:
                 tags.add(cqs.BasketTag(family, pattern, k))

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from degenscope import markov
+from degenscope import markov, wps
 from degenscope.markov import (
     GenSolution,
     MarkovTriple,
@@ -107,6 +107,47 @@ class TestToricDegenerations:
         for n in range(3, 31):
             for p in toric_degenerations_of_p11n(n, 10**4):
                 assert p.well_formed
+
+
+def _p11n_planes_by_equation(n, max_weight):
+    """Converse oracle for `toric_degenerations_of_p11n`: every well-formed
+    P(a, b, n), a <= b <= max_weight, with K^2 = (n+2)^2/n, that is
+    (a + b + n)^2 = (n+2)^2 ab, whose n-point is 1/n(1,1) and whose other
+    two points are smooth or Wahl, as the library classifies them.
+
+    For each a the equation is the quadratic
+    b^2 - s b + (a+n)^2 = 0 with s = (n+2)^2 a - 2(a+n),
+    so its integer roots are (s +- r)/2 with r^2 = s^2 - 4(a+n)^2."""
+    planes = []
+    for a in range(1, max_weight + 1):
+        s = (n + 2) ** 2 * a - 2 * (a + n)
+        disc = s * s - 4 * (a + n) ** 2
+        r = isqrt(max(disc, 0))
+        if r * r != disc or (s + r) % 2:
+            continue
+        for b in sorted({(s - r) // 2, (s + r) // 2}):
+            assert (a + b + n) ** 2 == (n + 2) ** 2 * a * b
+            plane = wps.WpsTriple(a, b, n)
+            if not a <= b <= max_weight or not plane.well_formed:
+                continue
+            pa, pb, pn = wps.singular_points(plane)
+            if tuple(pn.normalized) == (n, 1) and all(
+                pt.smooth or (pt.t_data is not None and pt.t_data.is_wahl) for pt in (pa, pb)
+            ):
+                planes.append((a, b, n))
+    return planes
+
+
+class TestToricDegenerationsConverse:
+    def test_the_mutation_walk_misses_no_plane(self):
+        # Raw entries x, y <= 141 are the squared weights <= 141^2 = 19881,
+        # the squares among weights <= 2*10^4.
+        found = []
+        for n in range(3, 51):
+            planes = _p11n_planes_by_equation(n, 2 * 10**4)
+            assert [tuple(p) for p in toric_degenerations_of_p11n(n, 141)] == planes, n
+            found += planes
+        assert len(found) == 105
 
 
 class TestPartialSmoothingCandidates:
