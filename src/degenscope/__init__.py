@@ -39,8 +39,8 @@ from .markov import (
 from .wps import (
     FamilyAWitness,
     FamilyBWitness,
+    GermRecord,
     Outcome,
-    PointReport,
     Verdict,
     WpsReport,
     WpsTriple,

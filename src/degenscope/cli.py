@@ -166,26 +166,26 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _classification_fields(pt: wps.PointReport) -> dict[str, Any]:
-    """The fields a point report shares with the cqs command, in order.
+def _classification_fields(record: wps.GermRecord) -> dict[str, Any]:
+    """The fields a point's germ record shares with the cqs command, in order.
 
     The chains go in as `ChainRuns` of the record's O(log m) runs, the dual
     chain as the same runs reversed: a chain can hold m-1 entries, and
     neither is copied or reversed entry by entry.
     """
-    runs = pt.runs
+    runs, t_data = record.runs, record.t_data
     return {
-        "normalized": pt.normalized._asdict(),
+        "normalized": record.normalized._asdict(),
         "chain": ChainRuns(runs),
         "dual_chain": ChainRuns(runs[::-1]),
-        "t_data": None if pt.t_data is None else pt.t_data._asdict(),
-        "wahl": pt.t_data is not None and pt.t_data.is_wahl,
-        "mu": pt.mu,
+        "t_data": None if t_data is None else t_data._asdict(),
+        "wahl": t_data is not None and t_data.is_wahl,
+        "mu": record.mu,
         "rigid": None
-        if pt.smooth
-        else {"rigid": pt.rigid, "k": pt.rigid_k, "r": pt.rigid_r},
-        "gorenstein_index": pt.gorenstein_index,
-        "baskets": [tag._asdict() for tag in sorted(pt.baskets)],
+        if record.smooth
+        else {"rigid": record.rigid, "k": record.rigid_k, "r": record.rigid_r},
+        "gorenstein_index": record.gorenstein_index,
+        "baskets": [tag._asdict() for tag in sorted(record.baskets)],
     }
 
 
@@ -194,13 +194,14 @@ def _mld_fields(record: wps.GermRecord) -> dict[str, str]:
     return {"mld": record.mld_text, "mld_decimal": record.mld_decimal}
 
 
-def point_payload(pt: wps.PointReport) -> dict:
+def point_payload(m: int, w1: int, w2: int, record: wps.GermRecord) -> dict:
+    """The fixed point 1/m(w1,w2) of a plane, whose germ record is `record`."""
     return {
-        "weight": pt.weight,
-        "smooth": pt.smooth,
-        "germ": pt.germ._asdict(),
-        **_classification_fields(pt),
-        **_mld_fields(pt.record),
+        "weight": m,
+        "smooth": record.smooth,
+        "germ": {"m": m, "w1": w1 % m, "w2": w2 % m},
+        **_classification_fields(record),
+        **_mld_fields(record),
     }
 
 
@@ -236,7 +237,7 @@ def verdict_payload(verdict: wps.Verdict, mld: dict[str, str] | None, explain: b
         else {
             "toric_picard_rank_one_assumed": True,
             "mld_below_one_sixth": "mld_at_least_one_sixth" not in verdict.reasons,
-            "no_basket_points": not any(pt.record.baskets for pt in points),
+            "no_basket_points": not any(rec.baskets for rec in points),
         },
     }
 
@@ -249,7 +250,10 @@ def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
         "well_formed": points is not None,
     }
     out.update(frac_fields("k2", report.k2))
-    out["points"] = None if points is None else [point_payload(pt) for pt in points]
+    a, b, c = report.triple
+    out["points"] = None if points is None else [
+        point_payload(*w, rec) for w, rec in zip(((a, b, c), (b, a, c), (c, a, b)), points)
+    ]
     mld = None if points is None else _mld_fields(wps.lowest_germ(points))
     if mld is not None:
         out.update(mld)
@@ -337,7 +341,12 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
 def _work(fn, tasks: list, feed_r: int, out_fd: int) -> None:
     """A forked worker: run the task of each index read from `feed_r`, send
     index, length and `marshal.dumps(result)` to `out_fd`, and leave through
-    `os._exit`, with 1 and the traceback on stderr if a task raised."""
+    `os._exit`, with 1 and the traceback on stderr if a task raised.  A
+    Ctrl-C reaches the whole process group; the worker ignores it, and the
+    parent alone reports it and kills the workers."""
+    import signal  # already loaded by fan_out
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 1
     try:
         with open(out_fd, "wb") as out:
@@ -488,17 +497,18 @@ def _naming(exc: OSError, path: str) -> OSError:
 
 
 def _cmd_cqs(args) -> dict:
-    pt = wps.point_report(args.m, args.w1, args.w2)
+    germ = cqs.CqsGerm(args.m, args.w1, args.w2)
+    record = wps.germ_record(germ)
     payload: dict[str, Any] = {
-        "germ": pt.germ._asdict(),
-        "smooth": pt.smooth,
-        **_classification_fields(pt),
+        "germ": germ._asdict(),
+        "smooth": record.smooth,
+        **_classification_fields(record),
     }
     if args.bound is not None:
         payload["mld_bound_T"] = args.bound
-        payload.update(frac_fields("mld_bound", cqs.mld_upper_bound(pt.normalized, args.bound)))
+        payload.update(frac_fields("mld_bound", cqs.mld_upper_bound(record.normalized, args.bound)))
     else:
-        payload.update(frac_fields("mld", cqs.mld_brute(pt.germ)))
+        payload.update(frac_fields("mld", cqs.mld_brute(germ)))
     return payload
 
 

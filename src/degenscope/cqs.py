@@ -178,7 +178,8 @@ def normal_form(m: int, q: int) -> NormalizedCqs:
 
 
 def normalize(germ: CqsGerm) -> NormalizedCqs:
-    """Normal form 1/m(1,q) of 1/m(w1,w2), via q = w1^-1 * w2 mod m."""
+    """Normal form 1/m(1,q) of 1/m(w1,w2), via q = w1^-1 * w2 mod m.  Any
+    (m, w1, w2) with units w1, w2 mod m will do; they need not be reduced."""
     m, w1, w2 = germ
     if m == 1:
         return SMOOTH

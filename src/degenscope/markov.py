@@ -178,11 +178,12 @@ def partial_smoothing_candidates(n: int, x: int, y: int) -> list[CentralFiberCan
     """Central-fiber descriptors for every subset of Wahl points of
     P(x^2,y^2,n) kept unsmoothed; the 1/n(1,1) point is always kept.
 
-    Keeping all Wahl points is the toric fiber itself; keeping a proper
-    nonempty subset gives a non-toric fiber with a torus-one action,
-    emitted only when exactly two non-Gorenstein points remain; smoothing
-    all of them returns the general fiber P(1,1,n).  All candidates share
-    k2 = (n+2)^2/n and Picard rank 1.
+    Keeping all Wahl points is the toric fiber itself; keeping one of the
+    two gives a non-toric fiber with a torus-one action, and with exactly
+    two non-Gorenstein points, as that fiber needs: 1/n(1,1) has index
+    n/gcd(n,2) >= 2 for n >= 3, and a Wahl germ of order u^2 has index
+    u >= 2.  Smoothing all of them returns the general fiber P(1,1,n).
+    All candidates share k2 = (n+2)^2/n and Picard rank 1.
     """
     if n < 3:
         raise ValueError(f"partial smoothings need n >= 3, got {n}")
@@ -204,24 +205,19 @@ def partial_smoothing_candidates(n: int, x: int, y: int) -> list[CentralFiberCan
                 rho=1,
             )
         )
-    for kept in sorted(wahls, key=lambda s: s.m):
-        if len(wahls) < 2:
-            break  # smoothing the only Wahl point is total smoothing
-        basket = (base_point, kept)
-        non_gor = sum(1 for s in basket if cqs.gorenstein_index(s) > 1)
-        if non_gor != 2:
-            continue
-        candidates.append(
-            CentralFiberCandidate(
-                kind="NonToricGm",
-                is_general_fiber=False,
-                toric_model=model,
-                basket=basket,
-                k2=degree,
-                rho=1,
-                note=NONTORIC_WEIGHT_NOTE,
+    if len(wahls) > 1:  # smoothing the only Wahl point is total smoothing
+        for kept in sorted(wahls, key=lambda s: s.m):
+            candidates.append(
+                CentralFiberCandidate(
+                    kind="NonToricGm",
+                    is_general_fiber=False,
+                    toric_model=model,
+                    basket=(base_point, kept),
+                    k2=degree,
+                    rho=1,
+                    note=NONTORIC_WEIGHT_NOTE,
+                )
             )
-        )
     candidates.append(
         CentralFiberCandidate(
             kind="Toric",

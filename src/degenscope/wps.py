@@ -14,7 +14,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import cqs
@@ -56,12 +55,12 @@ class WpsTriple(_WpsTripleFields):
 
 
 class GermRecord(NamedTuple):
-    """One normal form 1/m(1,q), classified once and cached by `_point_core`.
+    """One normal form 1/m(1,q), classified once and cached by `_point_core`:
+    a classified fixed point of a plane is its germ's record.
 
-    The first ten fields are the classification fields a PointReport reads
-    through.  The Hirzebruch-Jung chain is held once, as its O(log m) runs
-    from `cqs.hj_runs`, never as the Theta(m) entry tuple.  The mld is also
-    held as its integer numerator over m, for decisions by cross-multiplying,
+    The Hirzebruch-Jung chain is held once, as its O(log m) runs from
+    `cqs.hj_runs`, never as the Theta(m) entry tuple.  The mld is also held
+    as its integer numerator over m, for decisions by cross-multiplying,
     and in the two renderings of the payload.
     """
 
@@ -79,36 +78,9 @@ class GermRecord(NamedTuple):
     mld_text: str
     mld_decimal: str
 
-
-class PointReport(NamedTuple):
-    """Full classification of one torus-fixed point of the plane: its weight,
-    its germ, and the cached record of the germ's normal form, whose ten
-    classification fields read through as properties."""
-
-    weight: int
-    germ: CqsGerm
-    record: GermRecord
-
-    normalized = property(attrgetter("record.normalized"))
-    runs = property(attrgetter("record.runs"))
-    t_data = property(attrgetter("record.t_data"))
-    mu = property(attrgetter("record.mu"))
-    rigid = property(attrgetter("record.rigid"))
-    rigid_k = property(attrgetter("record.rigid_k"))
-    rigid_r = property(attrgetter("record.rigid_r"))
-    gorenstein_index = property(attrgetter("record.gorenstein_index"))
-    baskets = property(attrgetter("record.baskets"))
-    mld = property(attrgetter("record.mld"))
-
-    @property
-    def chain(self) -> tuple[int, ...]:
-        """The Hirzebruch-Jung chain, expanded on request: the record holds
-        only its runs."""
-        return cqs.hj_expand(*self.normalized)
-
     @property
     def smooth(self) -> bool:
-        return self.weight == 1
+        return self.normalized.m == 1
 
 
 class FamilyAWitness(NamedTuple):
@@ -192,13 +164,13 @@ class Outcome(Enum):
 class Verdict(NamedTuple):
     """The decision, with what it was made from: the reason kinds
     (not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth,
-    in that order), the classified fixed points and the plane's mld (both
-    None when the plane is not well-formed), and the family witnesses,
-    which are found for every plane."""
+    in that order), the germ records of the three fixed points and the
+    plane's mld (both None when the plane is not well-formed), and the
+    family witnesses, which are found for every plane."""
 
     outcome: Outcome
     reasons: tuple[str, ...]
-    points: tuple[PointReport, PointReport, PointReport] | None
+    points: tuple[GermRecord, GermRecord, GermRecord] | None
     family_a: FamilyAWitness | None
     family_b: FamilyBWitness | None
     mld: Fraction | None
@@ -259,28 +231,18 @@ def _point_core(m: int, q: int) -> GermRecord:
     )
 
 
-def point_report(weight: int, other1: int, other2: int) -> PointReport:
-    """Classify the germ 1/weight(other1, other2); weight 1 reports smooth."""
-    return _fixed_point(*CqsGerm(weight, other1, other2))
+def germ_record(germ: CqsGerm) -> GermRecord:
+    """The cached record of the germ; 1/1(0,0) is the smooth record."""
+    return _point_core(*normalize(germ))
 
 
-def _fixed_point(weight: int, other1: int, other2: int) -> PointReport:
-    """`point_report` for a germ whose weights are already known to be
-    units mod `weight`, such as a fixed point of a well-formed plane (the
-    other two weights are coprime to this one): the germ is built without
-    checking that again."""
-    germ = _tuple_new(CqsGerm, (weight, other1 % weight, other2 % weight))
-    return _tuple_new(PointReport, (weight, germ, _point_core(*normalize(germ))))
-
-
-def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
+def lowest_germ(points: tuple[GermRecord, ...]) -> GermRecord:
     """The record of the fixed point of least mld, the first one on a tie.
 
     Each mld is u/m with u = `mld_u`, so the minimum is found by
     cross-multiplying integers, not by comparing Fractions."""
     best = None
-    for pt in points:
-        rec = pt.record
+    for rec in points:
         m = rec.normalized.m
         if best is None or rec.mld_u * best_m < best.mld_u * m:
             best, best_m = rec, m
@@ -289,17 +251,22 @@ def lowest_germ(points: tuple[PointReport, ...]) -> GermRecord:
     return best
 
 
-def singular_points(p: WpsTriple) -> tuple[PointReport, PointReport, PointReport]:
-    """The three torus-fixed points 1/a(b,c), 1/b(a,c), 1/c(a,b), classified.
+def singular_points(p: WpsTriple) -> tuple[GermRecord, GermRecord, GermRecord]:
+    """The records of the three torus-fixed points 1/a(b,c), 1/b(a,c),
+    1/c(a,b); a weight-1 point is the smooth record.
 
-    Weight-1 points report smooth.  This is the plane's one well-formedness
-    proof: it raises ValueError exactly when the weights are not pairwise
-    coprime, since every germ of a well-formed plane is built from units.
+    This is the plane's one well-formedness proof: it raises ValueError
+    exactly when the weights are not pairwise coprime.  Past it, the other
+    two weights of each point are units mod its own, all `normalize` needs.
     """
     a, b, c = p
     if gcd(a, b) != 1 or gcd(b, c) != 1 or gcd(a, c) != 1:
         raise ValueError(f"P{(a, b, c)} is not well-formed (weights not pairwise coprime)")
-    return (_fixed_point(a, b, c), _fixed_point(b, a, c), _fixed_point(c, a, b))
+    return (
+        _point_core(*normalize((a, b, c))),
+        _point_core(*normalize((b, a, c))),
+        _point_core(*normalize((c, a, b))),
+    )
 
 
 def k2(p: WpsTriple) -> Fraction:
@@ -309,28 +276,28 @@ def k2(p: WpsTriple) -> Fraction:
 
 
 def noether_check(
-    p: WpsTriple, points: tuple[PointReport, ...]
+    p: WpsTriple, points: tuple[GermRecord, ...]
 ) -> tuple[Fraction, bool] | None:
     """K^2 + 3 + sum(mu) over the plane's classified fixed points and whether
     it equals 12; None when some singular point admits no Q-Gorenstein
     smoothing (mu undefined)."""
     total = k2(p) + 3
-    for pt in points:
-        if pt.smooth:
+    for rec in points:
+        if rec.smooth:
             continue
-        if pt.mu is None:
+        if rec.mu is None:
             return None
-        total += pt.mu
+        total += rec.mu
     return (total, total == 12)
 
 
-def wps_mld(points: tuple[PointReport, ...]) -> Fraction:
+def wps_mld(points: tuple[GermRecord, ...]) -> Fraction:
     """Exact minimal log discrepancy of a plane: min over its classified
     fixed points."""
     return lowest_germ(points).mld
 
 
-def wps_mld_below(points: tuple[PointReport, ...], threshold: Fraction = ONE_SIXTH) -> bool:
+def wps_mld_below(points: tuple[GermRecord, ...], threshold: Fraction = ONE_SIXTH) -> bool:
     """Exact decision mld(P(a,b,c)) < threshold from the plane's classified
     fixed points: the plane's mld is their minimum, so one `mld_less_than`
     call on the lowest point decides (for 1/6, whether 6*u < m)."""

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -532,6 +533,35 @@ class TestForkedFanOut:
         assert target.read_text() == "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
         assert no_child_left()
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="fewer than 2 usable CPUs: the scan forks no worker",
+    )
+    def test_ctrl_c_prints_one_traceback_and_leaves_no_worker(self):
+        # Ctrl-C sends SIGINT to the whole foreground process group: here,
+        # the group of a scan started in its own session, sent once its first
+        # record is out and both workers are busy.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "degenscope", "--jobs", "2", "scan", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["command"] == "scan-record"
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode != 0
+        assert err.count("Traceback (most recent call last):") == 1, err
+        assert err.splitlines().count("KeyboardInterrupt") == 1, err
+        with pytest.raises(ProcessLookupError):  # no process of the group is left
+            os.killpg(proc.pid, 0)
 
 
 class TestStartup:

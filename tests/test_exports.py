@@ -1,14 +1,19 @@
-"""The modules export only what the package defines.
+"""The modules export only what the package defines, and import only what
+they use.
 
 Every name in a module's `__all__` must exist, so `from module import *`
 works and a deleted name cannot stay behind as a stale export; and no
 public name of a module's `__all__` or of the package namespace may be an
 object another library defines (a re-exported `fractions.Fraction`, say).
+Every name a module other than the package's `__init__` imports must be
+used in it, so an import cannot outlive the code that needed it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +45,39 @@ def test_package_namespace_holds_only_package_objects():
     public = [name for name in vars(degenscope) if not name.startswith("_")]
     modules = [name for name in public if type(getattr(degenscope, name)) is type(degenscope)]
     assert foreign(sorted(set(public) - set(modules)), vars(degenscope)) == []
+
+
+# Imported names a module binds without using them, each with its reason.
+UNUSED_IMPORTS_ALLOWED = {
+    # bench/test_bench.py requires the binding: the benchmark's trace patches
+    # every module binding of a traced function, `cli.normalize` among them.
+    ("cli", "normalize"),
+}
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names the module's import statements bind and nothing reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_unused_imports_are_found():
+    source = "import os, json.decoder\nfrom math import gcd, lcm as l\nprint(gcd, json)\n"
+    assert unused_imports(source) == {"os", "l"}
+
+
+# The package's __init__ imports names only to export them.
+MODULE_FILES = sorted(set(Path(degenscope.__file__).parent.glob("*.py")) - {Path(degenscope.__file__)})
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = {(path.stem, name) for name in unused_imports(path.read_text())}
+    assert unused <= UNUSED_IMPORTS_ALLOWED

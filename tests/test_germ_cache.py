@@ -12,7 +12,7 @@ import pytest
 
 from degenscope import cli, cqs, wps
 from degenscope.cqs import CqsGerm, NormalizedCqs, _CqsGermFields
-from degenscope.wps import GermRecord, PointReport
+from degenscope.wps import GermRecord
 from oracles import mld_scan
 
 
@@ -72,20 +72,18 @@ def test_records_agree_with_the_primitives():
     assert (smooth.mld, smooth.mld_u, smooth.mld_text, smooth.mld_decimal) == (Fraction(2), 2, "2", "2")
 
 
-def test_point_reports_repeat_the_record_fields():
-    # A point report holds its germ's record; each classification field
-    # reads through to the record field of the same name.
-    shared = GermRecord._fields[:10]
-    assert PointReport._fields == ("weight", "germ", "record")
-    assert shared[0] == "normalized" and shared[-1] == "mld"
+def test_a_germ_is_its_cached_record():
+    # `germ_record` is the cached record of the germ's normal form, and a
+    # plane's fixed point normalizes from its unreduced weights to the same.
     for weight, other1, other2 in [(1, 4, 5), (12, 1, 7), (25, 4, 841), (841, 4, 25), (97, 3, 50)]:
-        pt = wps.point_report(weight, other1, other2)
-        s = cqs.normalize(CqsGerm(weight, other1, other2))
-        assert pt.normalized == s and pt.germ == CqsGerm(weight, other1, other2)
-        assert pt.record is wps._point_core(s.m, s.q)
-        for name in shared:
-            assert getattr(pt, name) is getattr(pt.record, name), name
-        assert pt.chain == cqs.hj_expand(s.m, s.q)
+        germ = CqsGerm(weight, other1, other2)
+        s = cqs.normalize(germ)
+        rec = wps.germ_record(germ)
+        assert rec is wps._point_core(s.m, s.q) and rec.normalized is s
+        assert cqs.normalize((weight, other1, other2)) is s
+        assert rec.smooth == (weight == 1) and rec.normalized.m == weight
+        assert cqs.hj_expand(*rec.normalized) == cqs.hj_expand(s.m, s.q)
+        assert rec.runs == cqs.hj_runs(s.m, s.q)
 
 
 def test_normal_form_is_cached_and_validated():

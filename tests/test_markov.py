@@ -3,7 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from degenscope import markov, wps
+from degenscope import cqs, markov, wps
 from degenscope.markov import (
     GenSolution,
     MarkovTriple,
@@ -191,6 +191,20 @@ class TestPartialSmoothingCandidates:
         with pytest.raises(ValueError):
             partial_smoothing_candidates(2, 1, 3)
 
+    def test_every_kept_wahl_point_leaves_two_non_gorenstein_points(self):
+        # A non-toric candidate is emitted for each Wahl point when there
+        # are two, and none is ever dropped for its Gorenstein indices.
+        solutions = 0
+        for n in range(3, 51):
+            for sol in gen_solutions(n, 10**6):
+                solutions += 1
+                cands = partial_smoothing_candidates(n, sol.x, sol.y)
+                non_toric = [c for c in cands if c.kind == "NonToricGm"]
+                assert len(non_toric) == (2 if sol.x > 1 and sol.y > 1 else 0), (n, sol)
+                for c in non_toric:
+                    assert sum(1 for s in c.basket if cqs.gorenstein_index(s) > 1) == 2, (n, sol)
+        assert solutions == 241
+
     def test_invariants_across_solutions(self):
         for n in range(3, 21):
             for sol in gen_solutions(n, 2000):
@@ -202,3 +216,14 @@ class TestPartialSmoothingCandidates:
                     assert (c.basket[0].m, c.basket[0].q) == (n, 1)
                     if c.kind == "NonToricGm":
                         assert len(c.basket) == 2
+
+
+class TestMarkovSquareVerdicts:
+    def test_no_nontrivial_degenerations_for_entries_to_1e30(self):
+        # Criterion 07 of the acceptance suite, from entries <= 1000 to
+        # entries <= 10^30: planes with weights of up to 60 digits.
+        triples = [t for t in classic_markov_enumerate(10**30) if t.a >= 2]
+        assert len(triples) == 820 and max(len(str(t.c**2)) for t in triples) == 60
+        for a, b, c in triples:
+            v = wps.degeneration_verdict(wps.WpsTriple(a * a, b * b, c * c))
+            assert v.outcome is wps.Outcome.NO_NONTRIVIAL_DEGENERATIONS and v.reasons == (), (a, b, c)

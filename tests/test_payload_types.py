@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from degenscope import cli, density, markov, wps
+from degenscope.cqs import CqsGerm
 from degenscope.wps import WpsTriple
 
 NODE_TYPES = (dict, list, tuple, str, int, bool, type(None), cli.ChainRuns)
@@ -64,7 +65,8 @@ def scan_planes(N: int):
 
 def test_walker_finds_value_objects_fractions_and_enums():
     leaks = {
-        "germ": wps.point_report(5, 1, 2).germ,
+        "germ": CqsGerm(5, 1, 2),
+        "point": wps.germ_record(CqsGerm(5, 1, 2)),
         "n": [wps.degeneration_verdict(WpsTriple(1, 3, 4)).outcome],
         "k2": (wps.k2(WpsTriple(1, 1, 1)),),
         "chain": cli.ChainRuns(((2, 3), (5, Fraction(1)))),
@@ -72,6 +74,7 @@ def test_walker_finds_value_objects_fractions_and_enums():
     }
     assert foreign_nodes(leaks) == [
         "$.germ: CqsGerm",
+        "$.point: GermRecord",
         "$.n[0]: Outcome",
         "$.k2[0]: Fraction",
         "$.chain.runs[1][1]: Fraction",

@@ -13,7 +13,7 @@ from degenscope.wps import WpsTriple
 
 VALUE_TYPES = {
     "CqsGerm", "NormalizedCqs", "TData", "BasketTag",
-    "WpsTriple", "PointReport", "FamilyAWitness", "FamilyBWitness",
+    "WpsTriple", "GermRecord", "FamilyAWitness", "FamilyBWitness",
     "Verdict", "WpsReport",
     "BoundCheck", "DensityCensus",
     "MarkovTriple", "GenSolution", "CentralFiberCandidate",

@@ -29,8 +29,8 @@ from degenscope.wps import (
     _B_TABLE,
     ONE_SIXTH,
     FamilyBWitness,
+    GermRecord,
     Outcome,
-    PointReport,
     Verdict,
     WpsTriple,
     family_A_member,
@@ -47,13 +47,13 @@ _INDEX_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 # the reference: the Fraction-based bodies, verbatim
 
 
-def wps_mld(points: tuple[PointReport, ...]) -> Fraction:
+def wps_mld(points: tuple[GermRecord, ...]) -> Fraction:
     """Exact minimal log discrepancy of a plane: min over its classified
     fixed points."""
     return min(pt.mld for pt in points)
 
 
-def wps_mld_below(points: tuple[PointReport, ...], threshold: Fraction = ONE_SIXTH) -> bool:
+def wps_mld_below(points: tuple[GermRecord, ...], threshold: Fraction = ONE_SIXTH) -> bool:
     """Exact decision mld(P(a,b,c)) < threshold from the plane's classified
     fixed points: the plane's mld is their minimum, so one point below the
     threshold decides."""
@@ -105,7 +105,7 @@ class ComplementHypotheses(NamedTuple):
 
 
 def complement_hypotheses(
-    points: tuple[PointReport, PointReport, PointReport], mld_below_one_sixth: bool
+    points: tuple[GermRecord, GermRecord, GermRecord], mld_below_one_sixth: bool
 ) -> ComplementHypotheses:
     """Hypothesis booleans for the one-complement criterion; rank-one
     toricity is recorded as an assumption, never computed."""
@@ -113,7 +113,7 @@ def complement_hypotheses(
     return ComplementHypotheses(
         toric_picard_rank_one_assumed=True,
         mld_below_one_sixth=mld_below_one_sixth,
-        no_basket_points=not (x.record.baskets or y.record.baskets or z.record.baskets),
+        no_basket_points=not (x.baskets or y.baskets or z.baskets),
     )
 
 

@@ -10,7 +10,6 @@ from degenscope import cli, cqs, markov, wps
 from degenscope.cqs import CqsGerm, NormalizedCqs, same_singularity, wahl
 from degenscope.wps import (
     Outcome,
-    PointReport,
     WpsTriple,
     analyze,
     degeneration_verdict,
@@ -18,8 +17,8 @@ from degenscope.wps import (
     family_B_member,
     family_b_instance,
     k2,
+    germ_record,
     noether_check,
-    point_report,
     singular_points,
     wps_mld,
     wps_mld_below,
@@ -43,7 +42,7 @@ class TestSingularPoints:
         pts = singular_points(WpsTriple(1, 1, 4))
         assert [pt.smooth for pt in pts] == [True, True, False]
         assert (pts[2].normalized.m, pts[2].normalized.q) == (4, 1)
-        assert pts[2].chain == (4,)
+        assert cqs.hj_expand(*pts[2].normalized) == (4,)
         assert pts[2].t_data is not None and pts[2].t_data.is_wahl
 
     def test_p1163(self):
@@ -63,30 +62,25 @@ class TestSingularPoints:
 
     def test_smooth_point_fields(self):
         pt = singular_points(WpsTriple(1, 2, 3))[0]
-        assert pt.chain == () and pt.baskets == frozenset()
+        assert cqs.hj_expand(*pt.normalized) == () and pt.baskets == frozenset()
         assert pt.mld == Fraction(2) and pt.gorenstein_index == 1 and pt.rigid
 
 
 class TestTrustedFixedPoints:
-    """`singular_points` builds the germs of a plane it has checked
-    well-formed without checking their units again; `point_report`, which
-    takes any germ, still validates."""
-
-    POINT_ATTRS = PointReport._fields + (
-        "normalized", "chain", "t_data", "mu", "rigid", "rigid_k", "rigid_r",
-        "gorenstein_index", "baskets", "mld", "smooth",
-    )
+    """`singular_points` normalizes the germs of a plane it has checked
+    well-formed without checking their units again, and returns their
+    cached records; `germ_record` takes a germ validated by `CqsGerm`."""
 
     def test_not_well_formed_still_raises(self):
         message = "P(2, 4, 5) is not well-formed (weights not pairwise coprime)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             singular_points(WpsTriple(2, 4, 5))
 
-    def test_point_report_still_validates(self):
+    def test_germs_are_still_validated(self):
         with pytest.raises(ValueError, match=re.escape("1/4(2,1): weight 2 is not a unit mod 4")):
-            point_report(4, 2, 1)
+            germ_record(CqsGerm(4, 2, 1))
 
-    def test_fixed_points_equal_validated_reports(self):
+    def test_fixed_points_are_the_records_of_their_germs(self):
         planes = 0
         for a, b, c in product(range(1, 31), repeat=3):
             p = WpsTriple(a, b, c)
@@ -94,10 +88,10 @@ class TestTrustedFixedPoints:
                 continue
             planes += 1
             for pt, args in zip(singular_points(p), ((a, b, c), (b, a, c), (c, a, b))):
-                ref = point_report(*args)
-                assert pt == ref and type(pt.germ) is CqsGerm, args
-                for name in self.POINT_ATTRS:
-                    assert getattr(pt, name) == getattr(ref, name), (args, name)
+                assert pt is germ_record(CqsGerm(*args)), args
+                assert pt.normalized.m == args[0] and pt.smooth == (args[0] == 1), args
+            for pt in degeneration_verdict(p).points:
+                assert pt is wps._point_core(*pt.normalized), (a, b, c)
         assert planes == 7798  # ordered pairwise-coprime triples in [1,30]^3
 
 
@@ -440,9 +434,9 @@ class TestOnePass:
 
         monkeypatch.setattr(cqs, "hj_expand", counted)
         wps._point_core.cache_clear()
-        pt = wps.point_report(12, 1, 7)
+        pt = germ_record(CqsGerm(12, 1, 7))
         assert expanded == [(12, 7)]
-        assert pt.baskets == cqs.basket_membership(pt.chain)
+        assert pt.baskets == cqs.basket_membership(cqs.hj_expand(*pt.normalized))
 
 
 class TestScanBookkeeping:
