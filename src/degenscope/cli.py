@@ -28,7 +28,6 @@ from . import cqs, density, markov, wps
 # `normalize` is unused here; kept bound because bench/test_bench.py checks
 # that the benchmark's trace patches cli.normalize.
 from .cqs import _tuple_new, normalize  # noqa: F401
-from .markov import NotASolution
 from .wps import WpsTriple
 
 SCHEMA_VERSION = "1"
@@ -110,8 +109,8 @@ def dumps_envelope(env: dict, compact: bool = False) -> str:
 def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
     """Append the indent-2 JSON pieces of `obj`, nested at the indent that
     `newline` carries, to `pieces`: one list joined once at the top, so a
-    long chain is copied once, not once per nesting level.  A run (a, k) of
-    a `ChainRuns` is the one piece `(text + sep) * (k - 1) + text`."""
+    long chain is copied once, not once per nesting level.  Containers share
+    one item loop, where a `ChainRuns` run (a, k) is one piece."""
     if obj is None:
         pieces.append("null")
     elif obj is True:
@@ -122,48 +121,38 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         pieces.append(encode_basestring(obj))
     elif isinstance(obj, int):
         pieces.append(int.__repr__(obj))
-    # Exact types: the value objects are tuple subclasses, and one that
-    # leaks into a payload must raise, not print as an array.
-    elif type(obj) in (list, tuple):
-        if not obj:
-            pieces.append("[]")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        pieces.append("[" + inner)
-        for i, item in enumerate(obj):
-            if i:
-                pieces.append(sep)
-            _pretty_pieces(item, inner, pieces)
-        pieces.append(newline + "]")
-    elif type(obj) is ChainRuns:
-        if not obj.runs:
-            pieces.append("[]")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        pieces.append("[" + inner)
-        for i, (a, k) in enumerate(obj.runs):
-            if i:
-                pieces.append(sep)
-            text = int.__repr__(a)
-            pieces.append((text + sep) * (k - 1) + text)
-        pieces.append(newline + "]")
-    elif type(obj) is dict:
-        if not obj:
-            pieces.append("{}")
-            return
-        inner = newline + "  "
-        sep = "," + inner
-        pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            pieces.append((sep if i else inner) + encode_basestring(key) + ": ")
-            _pretty_pieces(value, inner, pieces)
-        pieces.append(newline + "}")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        # Exact types: the value objects are tuple subclasses, and one that
+        # leaks into a payload must raise, not print as an array.
+        kind = type(obj)
+        if kind is dict:
+            items, brackets = obj.items(), "{}"
+        elif kind is list or kind is tuple:
+            items, brackets = obj, "[]"
+        elif kind is ChainRuns:
+            items, brackets = obj.runs, "[]"
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if not items:
+            pieces.append(brackets)
+            return
+        inner = newline + "  "
+        lead = brackets[0] + inner
+        sep = "," + inner
+        for item in items:
+            if kind is ChainRuns:
+                text = int.__repr__(item[0])
+                pieces.append(lead + (text + sep) * (item[1] - 1) + text)
+            else:
+                if kind is dict:
+                    key, item = item
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    lead += encode_basestring(key) + ": "
+                pieces.append(lead)
+                _pretty_pieces(item, inner, pieces)
+            lead = sep
+        pieces.append(newline + brackets[1])
 
 
 def _classification_fields(record: wps.GermRecord) -> dict[str, Any]:
@@ -564,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         return _dispatch(args, out)
-    except (NotASolution, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:

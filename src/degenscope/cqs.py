@@ -119,9 +119,7 @@ class NormalizedCqs(_NormalizedCqsFields):
 
     def canonical(self) -> NormalizedCqs:
         """The representative with the smaller of q and q^-1 mod m."""
-        if self.smooth:
-            return self
-        return NormalizedCqs(self.m, min(self.q, pow(self.q, -1, self.m)))
+        return min(self, reverse_type(self))
 
 
 SMOOTH = NormalizedCqs(1, 0)
@@ -259,11 +257,7 @@ def reverse_type(s: NormalizedCqs) -> NormalizedCqs:
 
 def same_singularity(s: NormalizedCqs, t: NormalizedCqs) -> bool:
     """Whether two normal forms present the same germ (q matches or inverts)."""
-    if s.m != t.m:
-        return False
-    if s.smooth:
-        return True
-    return s.q == t.q or (s.q * t.q) % s.m == 1
+    return t in (s, reverse_type(s))
 
 
 def classify_t(s: NormalizedCqs) -> TData | None:

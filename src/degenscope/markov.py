@@ -126,8 +126,10 @@ def gen_solutions(n: int, bound: int) -> list[GenSolution]:
 def gen_descend(n: int, x: int, y: int) -> list[tuple[int, int]]:
     """Strictly descending mutation path from (x,y) down to (1,1).
 
-    Each step maps the sorted pair (x,y) to ((n+2)x - y, x); the larger
-    coordinate strictly decreases, so the walk terminates.  Raises
+    Each step maps the sorted pair (x,y) to (x',x), where y and x' =
+    (n+2)x - y = (n + x^2)/y are the roots of f(t) = t^2 - (n+2)x*t + n + x^2.
+    As f(x) = n(1 - x^2) <= 0, 1 <= x' <= x <= y: each step is a sorted
+    positive solution and y falls strictly until (1,1).  Raises
     NotASolution on input failing the equation.
     """
     if n < 1 or x < 1 or y < 1:
@@ -138,8 +140,6 @@ def gen_descend(n: int, x: int, y: int) -> list[tuple[int, int]]:
     path = [(x, y)]
     while (x, y) != (1, 1):
         x, y = (n + 2) * x - y, x
-        if x < 1 or x > y:
-            raise AssertionError("descending mutation left the solution chain")
         path.append((x, y))
     return path
 
@@ -149,17 +149,13 @@ def toric_degenerations_of_p11n(n: int, bound: int) -> list[WpsTriple]:
 
     The (1,1) entry reproduces P(1,1,n) itself, the trivial degeneration.
     The bound cuts on the max entry of the raw solution, not the squared
-    weights.
+    weights.  Every plane is well-formed: a prime dividing two of x, y, n
+    divides the third by the equation, against gcd(n,x,y) = 1, which
+    `GenSolution` checks and the mutation (x,y) -> (y,(n+2)y-x) keeps.
     """
     if n < 3:
         raise ValueError(f"degeneration census needs n >= 3, got {n}")
-    planes = []
-    for sol in gen_solutions(n, bound):
-        plane = WpsTriple(sol.x**2, sol.y**2, n)
-        if not plane.well_formed:
-            raise AssertionError(f"emitted plane P{tuple(plane)} is not well-formed")
-        planes.append(plane)
-    return planes
+    return [WpsTriple(sol.x**2, sol.y**2, n) for sol in gen_solutions(n, bound)]
 
 
 def _wahl_points(n: int, x: int, y: int) -> list[NormalizedCqs]:

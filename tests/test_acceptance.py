@@ -11,11 +11,9 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
 from math import gcd, isqrt
 
 import numpy as np
-import pytest
 
 from degenscope import cli, density, markov, wps
 from degenscope.cqs import (
@@ -28,7 +26,6 @@ from degenscope.cqs import (
     is_qg_rigid,
     mld_brute,
     mld_upper_bound,
-    normalize,
     same_singularity,
     wahl,
 )

@@ -247,6 +247,25 @@ class TestReverseType:
             assert same_singularity(s, reverse_type(s))
             assert s.canonical() == reverse_type(s).canonical()
 
+    def test_canonical_is_the_lesser_reading(self):
+        def oracle(s):  # the lesser of q and q^-1 mod m, written out
+            if s.smooth:
+                return s
+            return NormalizedCqs(s.m, min(s.q, pow(s.q, -1, s.m)))
+
+        for s in [SMOOTH, *(NormalizedCqs(m, q) for m, q in coprime_pairs(300))]:
+            c = s.canonical()
+            assert c == oracle(s)
+            assert c in (s, reverse_type(s))
+            assert type(c) is NormalizedCqs and NormalizedCqs(*c) == c
+
+    def test_same_singularity_matches_or_inverts(self):
+        germs = [SMOOTH, *(NormalizedCqs(m, q) for m, q in coprime_pairs(30))]
+        for s in germs:
+            for t in germs:
+                expected = s.m == t.m and (s.smooth or s.q == t.q or s.q * t.q % s.m == 1)
+                assert same_singularity(s, t) == expected
+
 
 class TestClassifyT:
     @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ Every name in a module's `__all__` must exist, so `from module import *`
 works and a deleted name cannot stay behind as a stale export; and no
 public name of a module's `__all__` or of the package namespace may be an
 object another library defines (a re-exported `fractions.Fraction`, say).
-Every name a module other than the package's `__init__` imports must be
-used in it, so an import cannot outlive the code that needed it.
+Every name a module other than the package's `__init__`, or a test file,
+imports must be used in it, so an import cannot outlive the code that
+needed it.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def test_unused_imports_are_found():
 
 # The package's __init__ imports names only to export them.
 MODULE_FILES = sorted(set(Path(degenscope.__file__).parent.glob("*.py")) - {Path(degenscope.__file__)})
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULE_FILES + TEST_FILES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = {(path.stem, name) for name in unused_imports(path.read_text())}
     assert unused <= UNUSED_IMPORTS_ALLOWED

@@ -80,11 +80,15 @@ class TestGenDescend:
             gen_descend(3, 2, 7)
 
     def test_retraces_generation_chain(self):
+        # gen_descend relies on the equation to keep each step a sorted
+        # positive solution; walk down from every solution below 10^30.
         for n in range(1, 51):
-            chain = gen_solutions(n, 10**5)
-            top = chain[-1]
-            path = gen_descend(n, top.x, top.y)
-            assert path == [(s.x, s.y) for s in reversed(chain)]
+            chain = gen_solutions(n, 10**30)
+            for i, top in enumerate(chain):
+                path = gen_descend(n, top.x, top.y)
+                assert path == [(s.x, s.y) for s in reversed(chain[: i + 1])]
+                for x, y in path:
+                    assert 1 <= x <= y and n + x * x + y * y == (n + 2) * x * y
 
 
 class TestToricDegenerations:
@@ -104,8 +108,9 @@ class TestToricDegenerations:
             toric_degenerations_of_p11n(2, 10)
 
     def test_emitted_planes_well_formed(self):
-        for n in range(3, 31):
-            for p in toric_degenerations_of_p11n(n, 10**4):
+        # toric_degenerations_of_p11n relies on the equation for this.
+        for n in range(3, 51):
+            for p in toric_degenerations_of_p11n(n, 10**30):
                 assert p.well_formed
 
 

@@ -15,7 +15,6 @@ from degenscope.wps import (
     degeneration_verdict,
     family_A_member,
     family_B_member,
-    family_b_instance,
     k2,
     germ_record,
     noether_check,
