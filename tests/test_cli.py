@@ -25,6 +25,9 @@ from degenscope.cli import (
     run_scan,
 )
 from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -799,6 +802,150 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == EXIT_INVALID_INPUT
+
+    def test_script_target_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"degenscope": "degenscope.cli:run"}
+
+    def test_package_and_cli_module_print_the_same_bytes(self):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", module, "cqs", "4", "1", "1"], capture_output=True, check=True
+            ).stdout
+            for module in ("degenscope", "degenscope.cli")
+        ]
+        assert outs[0] == outs[1] and json.loads(outs[0])["result"]["chain"] == [4]
+
+
+def buffered_run(argv, stdout):
+    """Run `python -m degenscope *argv` with Python's default buffered
+    stdout, so the envelope reaches `stdout` only in the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "degenscope", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
+    )
+
+
+def run_code(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+class TestProcessExit:
+    """`cli.run` ends each CLI process: a flushed stdout, then a hard exit
+    that skips interpreter teardown, except under a profiler or tracer."""
+
+    # The scan writes about 35 KB, so its first failed write happens inside
+    # `main`, which reports it; `--help` ends in argparse's SystemExit.
+    ARGVS = [["cqs", "1", "1", "1"], ["--csv", "density", "10"], ["scan", "12"], ["--help"]]
+
+    def assert_io_failure(self, proc):
+        assert proc.returncode == EXIT_IO_FAILURE, proc.stderr
+        assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1, proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_full_device_exits_4(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = buffered_run(argv, full)
+        self.assert_io_failure(proc)
+        assert "No space left on device" in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_write_failure_inside_main_is_reported_once(self):
+        # Python sizes stdout's buffer by the file's block size.  Above the
+        # text layer's 8 KiB chunks (a regular file on some file systems), a
+        # chunk that fails inside `main` leaves bytes buffered, and the
+        # final flush fails with them again.
+        code = (
+            "import io, sys\n"
+            "sys.stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(1, 'w'), 1 << 14))\n"
+            "from degenscope import cli\n"
+            "cli.run(['scan', '12'])\n"
+        )
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", code], stdout=full, stderr=subprocess.PIPE, text=True)
+        self.assert_io_failure(proc)
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_closed_pipe_exits_4(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = buffered_run(argv, w)
+        finally:
+            os.close(w)
+        self.assert_io_failure(proc)
+
+    HARD_EXIT = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+        "sys.argv = ['degenscope', 'cqs', '1', '0', '0']\n"
+    )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "from degenscope import cli\ncli.run(sys.argv[1:])\n",
+            "import runpy\nrunpy.run_module('degenscope', run_name='__main__')\n",
+        ],
+        ids=["cli.run", "__main__"],
+    )
+    def test_run_skips_interpreter_teardown(self, call):
+        proc = run_code(self.HARD_EXIT + call)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == (ROOT / "tests" / "golden" / "cqs_smooth.stdout").read_text()
+        assert "atexit ran" not in proc.stderr
+
+    @pytest.mark.parametrize("streams", ["sys.stdout", "sys.stdout = sys.stderr"])
+    def test_closed_descriptors_leave_no_stream_to_flush(self, streams):
+        # Python sets sys.stdout (sys.stderr) to None when it starts with
+        # descriptor 1 (2) closed.
+        proc = run_code(f"import sys\n{streams} = None\nfrom degenscope import cli\ncli.run(['cqs', '1', '1', '1'])\n")
+        assert proc.returncode == EXIT_OK and proc.stdout == proc.stderr == ""
+
+    def test_usage_error_keeps_its_code(self):
+        proc = run_code("from degenscope import cli\ncli.run(['wps'])\n")
+        assert proc.returncode == EXIT_INVALID_INPUT and proc.stderr.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "hook",
+        [
+            "sys.setprofile(lambda *a: None)",
+            "sys.settrace(lambda *a: None)",
+            pytest.param(
+                "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'probe')",
+                marks=pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="PEP 669 is Python 3.12+"),
+            ),
+        ],
+    )
+    def test_hooked_run_keeps_the_normal_exit(self, hook):
+        proc = run_code(self.HARD_EXIT + hook + "\nfrom degenscope import cli\ncli.run(sys.argv[1:])\n")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "atexit ran" in proc.stderr
+
+    def test_cprofile_prints_its_stats(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "degenscope", "cqs", "1", "1", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        envelope, stats = proc.stdout.split("\n}\n", 1)
+        assert json.loads(envelope + "}")["command"] == "cqs"
+        assert "function calls" in stats
+
+    def test_trace_writes_its_cover_files(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trace", "--count", "-C", str(tmp_path), "--module", "degenscope"]
+            + ["cqs", "1", "1", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "degenscope.cli.cover").is_file()
 
 
 # Small and edge integers: orders up to 10^4 for germs, planes and Markov
