@@ -90,10 +90,11 @@ _COMPACT = json.JSONEncoder(
 )
 
 
-def dumps_envelope(env: dict, compact: bool = False) -> str:
-    """The envelope as compact JSON, or as the exact bytes of
-    `json.dumps(env, ensure_ascii=False, indent=2)`, a `ChainRuns` written
-    as the array of its entries in either mode.
+def dumps_envelope(env: Any, compact: bool = False) -> str:
+    """The envelope or other payload `env` as the exact bytes of
+    `json.dumps(env, ensure_ascii=False, indent=2)`, or as compact JSON (the
+    scan writes each record's reasons array so, see `record_envelope`); a
+    `ChainRuns` is written as the array of its entries in either mode.
 
     `json` pretty-prints only through its pure-Python encoder, which costs a
     call per array entry; `_pretty_pieces` writes the same bytes and renders
@@ -290,20 +291,38 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
 # box scan
 
 
-def _record_payload(p: WpsTriple, explain: bool) -> dict:
-    """One scan record of a well-formed plane.  Its mld fields are the
-    lowest point's germ record's, rendered once per germ; a
-    `mld_at_least_one_sixth` reason carries the same fields."""
+# A scan record's envelope, less its reasons array (the one part whose shape varies).  Every
+# other text is an Outcome value or a rational's digits, "-", "/" and ".", never JSON-escaped.
+_RECORD = (
+    '{"schema_version":"' + SCHEMA_VERSION + '","command":"scan-record",'
+    '"input":{"triple":[%d,%d,%d]},"result":{"triple":[%d,%d,%d],"verdict":"%s",'
+    '"reasons":%s,"mld":"%s","mld_decimal":"%s","k2":"%s","k2_decimal":"%s"},"warnings":[]}'
+)
+
+
+def record_envelope(p: WpsTriple, outcome: str, reasons: list, mld: dict, k2: dict) -> str:
+    """The compact bytes `json.dumps` writes for the `scan-record` envelope of
+    the triple `p`, its `outcome` value, its `reason_payload` dicts `reasons`
+    and its mld and k2 fields, written without building that dict."""
+    a, b, c = p
+    return _RECORD % (a, b, c, a, b, c, outcome, dumps_envelope(reasons, compact=True),
+                      mld["mld"], mld["mld_decimal"], k2["k2"], k2["k2_decimal"])  # fmt: skip
+
+
+def _scan_line(p: WpsTriple, explain: bool, csv_format: bool) -> str:
+    """The output line of the well-formed plane `p`, its CSV row or its
+    compact JSON record, both from one set of values per plane.  A CSV row
+    reads no reason payload, but they are built on both paths: the
+    benchmark's trace (bench/run.py) expects `reason_payload` calls on each."""
     verdict = wps.degeneration_verdict(p)
     mld = _mld_fields(wps.lowest_germ(verdict.points))
-    return {
-        "triple": list(p),
-        # `_value_` is the plain attribute behind the Enum's `value` property.
-        "verdict": verdict.outcome._value_,
-        "reasons": [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons],
-        **mld,
-        **frac_fields("k2", wps.k2(p)),
-    }
+    reasons = [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons]
+    k2 = frac_fields("k2", wps.k2(p))
+    # `_value_` is the plain attribute behind the Enum's `value` property.
+    outcome = verdict.outcome._value_
+    if csv_format:
+        return _csv_line([*p, outcome, ";".join(verdict.reasons), mld["mld"], k2["k2"]])
+    return record_envelope(p, outcome, reasons, mld, k2)
 
 
 def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
@@ -318,12 +337,7 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
         for c in range(b, N + 1):
             if gcd(a, c) == 1 and gcd(b, c) == 1:
                 # 1 <= a <= b <= c: valid weights, built without checking again.
-                rec = _record_payload(_tuple_new(WpsTriple, (a, b, c)), explain)
-                if csv_format:
-                    kinds = ";".join(r["kind"] for r in rec["reasons"])
-                    append(_csv_line([a, b, c, rec["verdict"], kinds, rec["mld"], rec["k2"]]))
-                else:
-                    append(dumps_envelope(record_envelope(rec), compact=True))
+                append(_scan_line(_tuple_new(WpsTriple, (a, b, c)), explain, csv_format))
     return lines
 
 
@@ -442,10 +456,6 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
                 write(line)
             count += len(lines)
     return count
-
-
-def record_envelope(record: dict) -> dict:
-    return make_envelope("scan-record", {"triple": record["triple"]}, record, [])
 
 
 # One CSV row without its CRLF terminator, from one writer per process:

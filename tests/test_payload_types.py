@@ -3,19 +3,19 @@
 Payload pieces come from the value types' own `_asdict()`, so a field
 that is itself a value type (a NamedTuple), a `Fraction` or an `Enum`
 could reach a payload.  The pretty writer raises on such a node, but the
-compact C encoder, which every scan record goes through, writes any tuple
-subclass as an array without consulting its `default`: only a walk of the
-payloads themselves catches the leak.
+compact C encoder, which writes every scan record's reasons array, writes
+any tuple subclass as an array without consulting its `default`: only a
+walk of the payloads themselves catches the leak.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from oracles import scan_envelope, scan_planes, scan_record
 
 from degenscope import cli, density, markov, wps
 from degenscope.cqs import CqsGerm
@@ -55,14 +55,6 @@ def foreign_nodes(obj, path: str = "$") -> list[str]:
     return found
 
 
-def scan_planes(N: int):
-    for a in range(1, N + 1):
-        for b in range(a, N + 1):
-            for c in range(b, N + 1):
-                if gcd(a, b) == 1 and gcd(a, c) == 1 and gcd(b, c) == 1:
-                    yield WpsTriple(a, b, c)
-
-
 def test_walker_finds_value_objects_fractions_and_enums():
     leaks = {
         "germ": CqsGerm(5, 1, 2),
@@ -84,11 +76,14 @@ def test_walker_finds_value_objects_fractions_and_enums():
 
 @pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
 def test_scan_records(explain):
+    # A scan line is a format string around its reasons array, which the
+    # compact encoder writes.  The oracle envelope, whose bytes
+    # tests/test_scan_records.py matches line for line, holds every value of
+    # the line, and its reasons are the plane's `reason_payload` dicts.
     planes = list(scan_planes(12))
     assert len(planes) == cli.run_scan(12, lambda line: None)
     for p in planes:
-        record = cli._record_payload(p, explain)
-        assert foreign_nodes(cli.record_envelope(record)) == [], p
+        assert foreign_nodes(scan_envelope(scan_record(p, explain))) == [], p
 
 
 @pytest.mark.parametrize("weights", GOLDEN_PLANES, ids=lambda w: "_".join(map(str, w)))

@@ -4,10 +4,12 @@
 expects records no calls, so a fast path that stops calling one of the
 traced public functions would break the benchmark while every other test
 passes.  This runs the same tracer on a small scan and checks that each
-span the scan_box workload expects was called; on small twins of the
-large_germs commands, whose chains reach the writer through the spans below
-and which together must call every span large_germs expects; and on a small
-density run, which must call every span density_census expects.
+span the scan_box workload expects was called; on its CSV twin, which must
+call each span scan_parallel expects, and each plane span as often as the
+JSON scan does; on small twins of the large_germs commands, whose chains
+reach the writer through the spans below and which together must call
+every span large_germs expects; and on a small density run, which must
+call every span density_census expects.
 """
 
 from __future__ import annotations
@@ -70,16 +72,47 @@ SCAN_14_CALLS = {
 }
 
 
-def test_scan_calls_every_span_the_benchmark_expects(tmp_path):
+@pytest.fixture(scope="module")
+def scan_14_functions(tmp_path_factory) -> dict[str, dict]:
+    """The per-span stats of `scan 14 --out F`, JSON and CSV, traced once for
+    this module, each checked to write its 152 records."""
+    stats = {}
+    for name, flags, lines in (("json", [], 152), ("csv", ["--csv"], 153)):
+        tmp_path = tmp_path_factory.mktemp(name)
+        out_path = tmp_path / "scan.out"
+        stats[name] = _traced_functions(tmp_path, [*flags, "scan", "14", "--out", str(out_path)])
+        assert out_path.read_text(encoding="utf-8").count("\n") == lines
+    return stats
+
+
+def test_scan_calls_every_span_the_benchmark_expects(scan_14_functions):
     expected = _bench_run().SCAN_SPANS + ("cli.record_envelope",)
-    out_path = tmp_path / "scan.out"
-    functions = _traced_functions(tmp_path, ["scan", "14", "--out", str(out_path)])
+    functions = scan_14_functions["json"]
     assert _silent(functions, expected) == []
-    assert out_path.read_text(encoding="utf-8").count("\n") == 152
     # A faster path may not hide a layer from the trace: each plane span is
     # still called through its module attribute, once per plane.
     calls = {span: functions.get(span, {}).get("calls", 0) for span in SCAN_14_CALLS}
     assert calls == SCAN_14_CALLS
+
+
+# The spans each plane of a scan calls whatever its output format; the
+# record envelope, and the `dumps_envelope` call that writes its reasons,
+# belong to the JSON line alone.
+PLANE_SPANS = (
+    *(span for span in SCAN_14_CALLS if span not in ("cli.record_envelope", "cli.dumps_envelope")),
+    "cli.reason_payload",
+)
+
+
+def test_csv_scan_calls_every_span_the_benchmark_expects(scan_14_functions):
+    # The CSV twin of the test above: the scan_parallel workload writes CSV.
+    functions = scan_14_functions["csv"]
+    assert _silent(functions, _bench_run().WORKLOADS["scan_parallel"].expected) == []
+    calls = {span: functions.get(span, {}).get("calls", 0) for span in PLANE_SPANS}
+    json_calls = {span: scan_14_functions["json"][span]["calls"] for span in PLANE_SPANS}
+    assert calls == json_calls
+    assert "cli.record_envelope" not in functions
+    assert functions["cli.dumps_envelope"]["calls"] == 1  # the census summary
 
 
 CHAIN_SPANS = ("cqs.hj_expand", "cqs.basket_membership", "cli.dumps_envelope")
