@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import marshal
 import os
 import sys
 from fractions import Fraction
-from itertools import chain as concat, repeat, starmap
 from json.encoder import encode_basestring
 from math import gcd
-from types import SimpleNamespace
 from typing import Any, NoReturn
 
 from . import cqs, density, markov, wps
@@ -36,6 +33,8 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_IO_FAILURE = 4
 
+# A CSV row is its fields joined by ",".  None needs quoting: each is a header name,
+# an integer, a rational's text, an Outcome value, or reason kinds joined by ";".
 RECORD_CSV_HEADER = ["a", "b", "c", "verdict", "reasons", "mld", "k2"]
 CENSUS_CSV_HEADER = ["N", "count_A", "count_B1", "count_B2", "count_B3", "count_S", "ratio"]
 
@@ -64,9 +63,9 @@ def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: l
 
 class ChainRuns:
     """A Hirzebruch-Jung chain in a payload, held as its runs ((a, count),
-    ...) from `cqs.hj_runs`: it serializes as the JSON array of its
-    entries, and the pretty writer renders each run with one string repeat,
-    so an A_{m-1} chain costs O(1) string operations plus its bytes."""
+    ...) from `cqs.hj_runs`: the pretty writer writes it as the JSON array
+    of its entries and renders each run with one string repeat, so an
+    A_{m-1} chain costs O(1) string operations plus its bytes."""
 
     __slots__ = ("runs",)
 
@@ -74,27 +73,18 @@ class ChainRuns:
         self.runs = runs
 
 
-def _expand_chain(obj: Any) -> list[int]:
-    # The compact encoder's `default`: it sees only objects that are not
-    # JSON types, and of those only a ChainRuns serializes.
-    if type(obj) is ChainRuns:
-        return list(concat.from_iterable(starmap(repeat, obj.runs)))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 # The encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
-# builds for every call, built once, which also expands a ChainRuns.  Payloads
-# are fresh trees, so it skips the cycle check (a cycle raises RecursionError).
-_COMPACT = json.JSONEncoder(
-    ensure_ascii=False, separators=(",", ":"), default=_expand_chain, check_circular=False
-)
+# builds for every call, built once.  Payloads are fresh trees, so it skips
+# the cycle check (a cycle raises RecursionError).
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def dumps_envelope(env: Any, compact: bool = False) -> str:
     """The envelope or other payload `env` as the exact bytes of
     `json.dumps(env, ensure_ascii=False, indent=2)`, or as compact JSON (the
-    scan writes each record's reasons array so, see `record_envelope`); a
-    `ChainRuns` is written as the array of its entries in either mode.
+    scan writes each record's reasons array so, see `record_envelope`).  The
+    pretty writer writes a `ChainRuns` as the array of its entries; compact
+    mode takes JSON types only, and raises TypeError on a `ChainRuns`.
 
     `json` pretty-prints only through its pure-Python encoder, which costs a
     call per array entry; `_pretty_pieces` writes the same bytes and renders
@@ -163,18 +153,18 @@ def _classification_fields(record: wps.GermRecord) -> dict[str, Any]:
     chain as the same runs reversed: a chain can hold m-1 entries, and
     neither is copied or reversed entry by entry.
     """
-    runs, t_data = record.runs, record.t_data
+    runs, t_data, r = record.runs, record.t_data, record.gorenstein_index
     return {
         "normalized": record.normalized._asdict(),
         "chain": ChainRuns(runs),
         "dual_chain": ChainRuns(runs[::-1]),
         "t_data": None if t_data is None else t_data._asdict(),
         "wahl": t_data is not None and t_data.is_wahl,
-        "mu": record.mu,
+        "mu": None if t_data is None else t_data.d - 1,
         "rigid": None
         if record.smooth
-        else {"rigid": record.rigid, "k": record.rigid_k, "r": record.rigid_r},
-        "gorenstein_index": record.gorenstein_index,
+        else {"rigid": record.rigid, "k": record.normalized.m // r, "r": r},
+        "gorenstein_index": r,
         "baskets": [tag._asdict() for tag in sorted(record.baskets)],
     }
 
@@ -321,7 +311,7 @@ def _scan_line(p: WpsTriple, explain: bool, csv_format: bool) -> str:
     # `_value_` is the plain attribute behind the Enum's `value` property.
     outcome = verdict.outcome._value_
     if csv_format:
-        return _csv_line([*p, outcome, ";".join(verdict.reasons), mld["mld"], k2["k2"]])
+        return ",".join(map(str, [*p, outcome, ";".join(verdict.reasons), mld["mld"], k2["k2"]]))
     return record_envelope(p, outcome, reasons, mld, k2)
 
 
@@ -447,7 +437,7 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if csv_format:
-        write(_csv_line(RECORD_CSV_HEADER))
+        write(",".join(RECORD_CSV_HEADER))
     count = 0
     tasks = [(N, a, explain, csv_format) for a in range(1, N + 1)]
     with fan_out(_scan_slice, tasks, jobs) as chunks:
@@ -456,11 +446,6 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
                 write(line)
             count += len(lines)
     return count
-
-
-# One CSV row without its CRLF terminator, from one writer per process:
-# `writerow` returns what its file's `write` returns, and `str` returns the row.
-_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
 
 
 @contextlib.contextmanager
@@ -552,11 +537,6 @@ def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
     ]
 
 
-def _cmd_density(args) -> tuple[list[density.DensityCensus], list[str]]:
-    censuses = [density.census(N) for N in args.sizes]
-    return censuses, _bound_check_warnings(censuses)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -642,14 +622,15 @@ def _dispatch(args, out) -> int:
         payload = _cmd_markov(args)
     else:  # density: argparse accepts no other command.
         inputs = {"sizes": args.sizes, "jobs": args.jobs}
-        censuses, warnings = _cmd_density(args)
+        censuses = [density.census(N) for N in args.sizes]
+        warnings = _bound_check_warnings(censuses)
         if args.csv:
             if not args.quiet:
-                print(_csv_line(CENSUS_CSV_HEADER), file=out)
+                print(",".join(CENSUS_CSV_HEADER), file=out)
                 for c in censuses:
                     row = [c.N, c.count_A, c.count_B1, c.count_B2, c.count_B3, c.count_S]
                     ratio = cqs.ratio_decimal(c.ratio.numerator, c.ratio.denominator)
-                    print(_csv_line([*row, ratio]), file=out)
+                    print(",".join(map(str, [*row, ratio])), file=out)
             return EXIT_OK
         payload = {"censuses": [census_payload(c) for c in censuses]}
 
@@ -677,27 +658,25 @@ def _run_scan_command(args, out) -> int:
     return EXIT_OK
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # Flags are valid both before and after the subcommand; the suppressed
-    # copies on subparsers avoid clobbering values parsed by the main parser.
-    flag_default = argparse.SUPPRESS if suppress else False
-    jobs_default = argparse.SUPPRESS if suppress else 1
+def _add_global_flags(parser: argparse.ArgumentParser) -> None:
+    # Flags are valid both before and after the subcommand.  No copy has a default,
+    # so none clobbers a parsed value; `build_parser` sets the defaults once.
     parser.add_argument(
-        "--json", action="store_true", default=flag_default, help="JSON envelopes (default)"
+        "--json", action="store_true", default=argparse.SUPPRESS, help="JSON envelopes (default)"
     )
     parser.add_argument(
-        "--csv", action="store_true", default=flag_default, help="CSV output (density and scan)"
+        "--csv", action="store_true", default=argparse.SUPPRESS, help="CSV output (density and scan)"
     )
     parser.add_argument(
-        "--quiet", action="store_true", default=flag_default, help="suppress stdout payloads"
+        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stdout payloads"
     )
     parser.add_argument(
-        "--jobs", type=int, default=jobs_default, metavar="J", help="worker processes for scan"
+        "--jobs", type=int, default=argparse.SUPPRESS, metavar="J", help="worker processes for scan"
     )
     parser.add_argument(
         "--explain",
         action="store_true",
-        default=flag_default,
+        default=argparse.SUPPRESS,
         help="attach a prose explanation to each verdict reason",
     )
 
@@ -710,11 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
             "Q-Gorenstein degeneration verdicts for weighted projective planes."
         ),
     )
-    _add_global_flags(parser, suppress=False)
+    _add_global_flags(parser)
+    parser.set_defaults(json=False, csv=False, quiet=False, jobs=1, explain=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cqs = sub.add_parser("cqs", help="classify one cyclic quotient germ 1/m(w1,w2)")
-    _add_global_flags(p_cqs, suppress=True)
+    _add_global_flags(p_cqs)
     p_cqs.add_argument("m", type=int)
     p_cqs.add_argument("w1", type=int)
     p_cqs.add_argument("w2", type=int)
@@ -727,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_wps = sub.add_parser("wps", help="full report and verdict for P(a,b,c)")
-    _add_global_flags(p_wps, suppress=True)
+    _add_global_flags(p_wps)
     p_wps.add_argument("a", type=int)
     p_wps.add_argument("b", type=int)
     p_wps.add_argument("c", type=int)
@@ -747,14 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
     m_cand.add_argument("--x", type=int, required=True)
     m_cand.add_argument("--y", type=int, required=True)
     for sp in (m_classic, m_gen, m_deg, m_cand):
-        _add_global_flags(sp, suppress=True)
+        _add_global_flags(sp)
 
     p_density = sub.add_parser("density", help="exceptional-set census at one or more N")
-    _add_global_flags(p_density, suppress=True)
+    _add_global_flags(p_density)
     p_density.add_argument("sizes", type=int, nargs="+", metavar="N")
 
     p_scan = sub.add_parser("scan", help="classify every well-formed triple in [1,N]^3")
-    _add_global_flags(p_scan, suppress=True)
+    _add_global_flags(p_scan)
     p_scan.add_argument("N", type=int)
     p_scan.add_argument("--out", type=str, default=None, metavar="FILE")
 

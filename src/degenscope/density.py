@@ -139,7 +139,11 @@ def family_b_ordered(family: str, N: int) -> set[tuple[int, int, int]]:
 
     An instance (1 + l*e, base + k*e, e) has entries congruent to 1, base
     and 0 mod e, and 1 < base < e at every n >= 2, so its three entries
-    are distinct and it stands for exactly six ordered triples.
+    are distinct and it stands for exactly six ordered triples.  No two
+    instances share a sorted triple: given e, the residues fix l and k.  In
+    B1, e is the one even entry.  B2 and B3 are both (1 + l*e, (e+3)/2 + k*e,
+    e) with gcd(e, 6) = 1; were another entry e' such an e, e = 1 or 2e = 3
+    mod e', and the cases give e even, 3 | e, or e' dividing 8 or 9.
     """
     return {tuple(sorted(t)) for t in family_b_param_instances(family, N)}
 
@@ -157,7 +161,10 @@ def _single_role_residue_bound(N: int) -> int:
 def census(N: int) -> DensityCensus:
     """Counts for A, B1-B3 and their union, the exact ratio over N^3, and
     the bound checks; the union is exact for any N since only the small B
-    families are materialized."""
+    families are materialized.  Only B1 and B2 share members, (1,7,12) and
+    (1,8,13), both in A: B1's e is its one even entry and a B2/B3 e is odd,
+    so each e is an entry of the other, and within the bounds only these fit.
+    """
     single, pair, triple = _family_a_counts(N)
     count_a = _roles_union(single, pair, triple)
 

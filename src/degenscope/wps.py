@@ -61,16 +61,15 @@ class GermRecord(NamedTuple):
     The Hirzebruch-Jung chain is held once, as its O(log m) runs from
     `cqs.hj_runs`, never as the Theta(m) entry tuple.  The mld is also held
     as its integer numerator over m, for decisions by cross-multiplying,
-    and in the two renderings of the payload.
+    and in the two renderings of the payload.  What follows from a kept
+    field is not stored: the Milnor number mu is `t_data.d - 1`, and the
+    rigidity test's r is `gorenstein_index` and its k is m // r.
     """
 
     normalized: NormalizedCqs
     runs: tuple[tuple[int, int], ...]
     t_data: TData | None
-    mu: int | None
     rigid: bool
-    rigid_k: int | None
-    rigid_r: int | None
     gorenstein_index: int
     baskets: frozenset[BasketTag]
     mld: Fraction
@@ -191,10 +190,7 @@ _SMOOTH_RECORD = GermRecord(
     normalized=cqs.SMOOTH,
     runs=(),
     t_data=None,
-    mu=None,
     rigid=True,
-    rigid_k=None,
-    rigid_r=None,
     gorenstein_index=1,
     baskets=frozenset(),
     mld=cqs.SMOOTH_MLD,
@@ -210,18 +206,13 @@ def _point_core(m: int, q: int) -> GermRecord:
     if m == 1:
         return _SMOOTH_RECORD
     s = cqs.normal_form(m, q)
-    t = cqs.classify_t(s)
-    rigid, k, r = cqs.is_qg_rigid(s)
     mld = cqs.mld_normalized(s)
     n, d = mld.numerator, mld.denominator
     return GermRecord(
         s,
         cqs.hj_runs(m, q),
-        t,
-        None if t is None else t.d - 1,
-        rigid,
-        k,
-        r,
+        cqs.classify_t(s),
+        cqs.is_qg_rigid(s)[0],
         cqs.gorenstein_index(s),
         cqs.basket_membership(cqs.hj_expand(m, q)),
         mld,
@@ -285,9 +276,9 @@ def noether_check(
     for rec in points:
         if rec.smooth:
             continue
-        if rec.mu is None:
+        if rec.t_data is None:
             return None
-        total += rec.mu
+        total += rec.t_data.d - 1
     return (total, total == 12)
 
 

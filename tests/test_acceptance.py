@@ -334,8 +334,10 @@ def test_criterion_10_determinism():
             inputs = {"m": m, "w1": w1, "w2": w2, "bound": None}
             command = "cqs"
         env = cli.make_envelope(command, inputs, payload, [])
-        for compact in (False, True):
-            text = cli.dumps_envelope(env, compact=compact)
+        # Compact mode takes JSON types only: the plain form of the envelope.
+        plain = json.loads(cli.dumps_envelope(env))
+        for compact, obj in ((False, env), (True, plain)):
+            text = cli.dumps_envelope(obj, compact=compact)
             if cli.dumps_envelope(json.loads(text), compact=compact) != text:
                 round_trip_ok = False
     report(10, "JSON round-trip identity on 1000 random envelopes", round_trip_ok)

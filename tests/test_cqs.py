@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenscope import cqs, wps
+from degenscope import cli, cqs, wps
 from degenscope.cqs import (
     CqsGerm,
     NormalizedCqs,
@@ -210,7 +210,7 @@ class TestHjChains:
 
 
 class TestHjRuns:
-    """`hj_runs` is the one chain walk; `hj_expand` expands its runs."""
+    """`hj_runs` is the one walk that builds the chain; `hj_expand` expands its runs."""
 
     @pytest.mark.parametrize("m", [2, 3, 10**6, 10**30])
     def test_du_val_is_one_run(self, m):
@@ -309,10 +309,10 @@ class TestClassifyT:
 
 
 class TestMilnorMu:
-    # The germ record's mu: d - 1 of the T-data, None for a non-T germ.
+    # A germ payload's mu: d - 1 of the T-data, None for a non-T germ.
     @pytest.mark.parametrize("mq,expected", [((4, 1), 0), ((3, 2), 2), ((5, 2), None)])
     def test_examples(self, mq, expected):
-        assert wps._point_core(*mq).mu == expected
+        assert cli._classification_fields(wps._point_core(*mq))["mu"] == expected
 
 
 class TestRigidity:

@@ -166,6 +166,27 @@ class TestFamilyB:
             assert instances
             assert all(len(set(t)) == 3 for t in instances)
 
+    def test_rows_have_the_shape_the_coincidence_argument_uses(self):
+        # B1: e = 0 mod 4 and an odd base; B2 and B3: base = (e+3)/2, e prime to 6.
+        for n in range(2, 500):
+            e, base, _ = wps.family_b_row("B1", n)
+            assert e % 4 == 0 and base % 2 == 1
+            for fam in ("B2", "B3"):
+                e, base, _ = wps.family_b_row(fam, n)
+                assert 2 * base == e + 3 and gcd(e, 6) == 1
+
+    def test_coincidences_up_to_10_4(self):
+        # The facts of the `family_b_ordered` and `census` docstrings: no
+        # family has two instances with one sorted triple, and the only
+        # cross-family members are two of B1 and B2, both in family A.
+        instances = {fam: family_b_param_instances(fam, 10**4) for fam in B_FAMILIES}
+        assert sum(map(len, instances.values())) == 470_633
+        members = {fam: {tuple(sorted(t)) for t in found} for fam, found in instances.items()}
+        assert [len(members[fam]) for fam in B_FAMILIES] == [len(instances[fam]) for fam in B_FAMILIES]
+        assert members["B1"] & members["B2"] == {(1, 7, 12), (1, 8, 13)}
+        assert not members["B1"] & members["B3"] and not members["B2"] & members["B3"]
+        assert all(family_a_contains(t) for t in members["B1"] & members["B2"])
+
     def test_sorted_members_match_ordered_reference(self):
         for fam in B_FAMILIES:
             members = density.family_b_ordered(fam, 60)

@@ -5,15 +5,18 @@ Every name in a module's `__all__` must exist, so `from module import *`
 works and a deleted name cannot stay behind as a stale export; and no
 public name of a module's `__all__` or of the package namespace may be an
 object another library defines (a re-exported `fractions.Fraction`, say).
-Every name a module other than the package's `__init__`, or a test file,
-imports must be used in it, so an import cannot outlive the code that
-needed it.
+Every name a module other than the package's `__init__`, a test file or a
+tool under tools/ imports must be used in it, so an import cannot outlive
+the code that needed it; and `import degenscope.cli` loads no module the
+CLI does not use.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,9 +80,17 @@ def test_unused_imports_are_found():
 # The package's __init__ imports names only to export them.
 MODULE_FILES = sorted(set(Path(degenscope.__file__).parent.glob("*.py")) - {Path(degenscope.__file__)})
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+TOOL_FILES = sorted((Path(__file__).parent.parent / "tools").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULE_FILES + TEST_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULE_FILES + TEST_FILES + TOOL_FILES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = {(path.stem, name) for name in unused_imports(path.read_text())}
     assert unused <= UNUSED_IMPORTS_ALLOWED
+
+
+def test_cli_import_loads_no_csv_module():
+    # A CSV row is a comma join; the `csv` module would only add start-up time.
+    code = "import sys, degenscope.cli\nprint(sorted({'csv', '_csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -37,17 +37,12 @@ def fresh_record(m: int, q: int) -> GermRecord:
     """The record of 1/m(1,q) computed from the cqs primitives, with the
     mld from the brute-force junior-weight scan."""
     s = NormalizedCqs(m, q)
-    t = cqs.classify_t(s)
-    rigid, k, r = cqs.is_qg_rigid(s)
     mld = mld_scan(m, 1, q)
     return GermRecord(
         normalized=s,
         runs=cqs.hj_runs(m, q),
-        t_data=t,
-        mu=None if t is None else t.d - 1,
-        rigid=rigid,
-        rigid_k=k,
-        rigid_r=r,
+        t_data=cqs.classify_t(s),
+        rigid=cqs.is_qg_rigid(s)[0],
         gorenstein_index=cqs.gorenstein_index(s),
         baskets=cqs.basket_membership(cqs.hj_expand(m, q)),
         mld=mld,
@@ -64,7 +59,14 @@ def test_records_agree_with_the_primitives():
     for m in range(2, 201):
         for q in range(1, m):
             if gcd(m, q) == 1:
-                assert wps._point_core(m, q) == fresh_record(m, q), (m, q)
+                record = wps._point_core(m, q)
+                assert record == fresh_record(m, q), (m, q)
+                # The payload derives mu and the rigidity test's k and r.
+                s, fields = record.normalized, cli._classification_fields(record)
+                rigid, k, r = cqs.is_qg_rigid(s)
+                assert fields["rigid"] == {"rigid": rigid, "k": k, "r": r}, (m, q)
+                t = cqs.classify_t(s)
+                assert fields["mu"] == (None if t is None else t.d - 1), (m, q)
                 germs += 1
     assert germs == sum(1 for m in range(2, 201) for q in range(1, m) if gcd(m, q) == 1)
     smooth = wps._point_core(1, 0)

@@ -7,7 +7,11 @@ scan_box cases of `bench/digests.json` (`scan 60`, JSON and CSV, at
 `--jobs 1` and 2) run as `<python> -m degenscope` in a fresh temporary
 directory, with this checkout's `src` on the path and no bytecode written.
 A case passes when it exits 0 and its stdout and `--out` file match the
-fixture or digest byte for byte.  One `pass` or `FAIL` line is printed per
+fixture or digest byte for byte.  Then come the process-exit cases of
+`tests/test_cli.py::TestProcessExit`: a write to /dev/full (where the
+system has one) and to a closed pipe each exit 4 with one `error:` line,
+`-m cProfile` prints its stats, and `-m trace` keeps the normal exit, so it
+writes its cover files.  One `pass` or `FAIL` line is printed per
 interpreter and case; the exit status is 1 if any case failed, else 0.
 
 Only the standard library is used, here and under the interpreters run,
@@ -51,22 +55,29 @@ def cases() -> list[tuple[str, tuple[str, ...], str, str | None, str | None]]:
     return found
 
 
+def spawn(python: str, args: list[str], cwd: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python args` in `cwd`, with this checkout's `src` on the path, no
+    bytecode written and Python's default buffered stdout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([python, *args], cwd=cwd, env=env, timeout=CASE_TIMEOUT_S, **kwargs)
+
+
 def run_case(python: str, argv: tuple[str, ...], out: str) -> tuple[int, bytes, bytes, bytes | None]:
     """Exit code, stdout, stderr and `--out` bytes (None when not asked for)
     of `python -m degenscope argv` in a fresh directory."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / out
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run(
-            [python, "-m", "degenscope", *argv],
-            cwd=tmp,
-            env=env,
-            capture_output=True,
-            timeout=CASE_TIMEOUT_S,
-        )
+        proc = spawn(python, ["-m", "degenscope", *argv], tmp, capture_output=True)
         out_bytes = out_path.read_bytes() if out in argv and out_path.exists() else None
     return proc.returncode, proc.stdout, proc.stderr, out_bytes
+
+
+def last_line(stderr: bytes) -> str:
+    """The last line of `stderr`, so that a FAIL report stays one line."""
+    lines = stderr.decode(errors="replace").strip().splitlines()
+    return lines[-1] if lines else ""
 
 
 def check(python: str, argv: tuple[str, ...], out: str, want_stdout: str, want_out: str | None) -> str:
@@ -76,13 +87,79 @@ def check(python: str, argv: tuple[str, ...], out: str, want_stdout: str, want_o
     except (OSError, subprocess.TimeoutExpired) as exc:
         return f"could not run: {exc}"
     if code != 0:
-        return f"exit {code}: {stderr.decode(errors='replace').strip()[-300:]}"
+        return f"exit {code}: {last_line(stderr)}"
     problems = []
     if sha256(stdout) != want_stdout:
         problems.append("stdout differs")
     if want_out is not None and (out_bytes is None or sha256(out_bytes) != want_out):
         problems.append(f"{out} differs" if out_bytes is not None else f"{out} missing")
     return ", ".join(problems)
+
+
+def io_failure(proc: subprocess.CompletedProcess) -> str:
+    """What differs from exit 4 with exactly one `error:` line on stderr."""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith(b"error:")]
+    if proc.returncode != 4 or len(errors) != 1:
+        return f"exit {proc.returncode} with {len(errors)} error lines: {last_line(proc.stderr)}"
+    return ""
+
+
+def full_device(python: str, tmp: str) -> str:
+    # The scan's first failed write happens inside `main`, which reports it.
+    with open("/dev/full", "wb") as full:
+        argv = ["-m", "degenscope", "scan", "12"]
+        return io_failure(spawn(python, argv, tmp, stdout=full, stderr=subprocess.PIPE))
+
+
+def closed_pipe(python: str, tmp: str) -> str:
+    # `cqs` output waits in the buffer, so the final flush is what fails.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        argv = ["-m", "degenscope", "cqs", "1", "1", "1"]
+        return io_failure(spawn(python, argv, tmp, stdout=w, stderr=subprocess.PIPE))
+    finally:
+        os.close(w)
+
+
+def cprofile_stats(python: str, tmp: str) -> str:
+    argv = ["-m", "cProfile", "-m", "degenscope", "cqs", "1", "1", "1"]
+    proc = spawn(python, argv, tmp, capture_output=True)
+    if proc.returncode != 0 or b"function calls" not in proc.stdout:
+        return f"exit {proc.returncode}, no stats on stdout"
+    return ""
+
+
+def trace_cover_files(python: str, tmp: str) -> str:
+    argv = ["-m", "trace", "--count", "-C", tmp, "--module", "degenscope", "cqs", "1", "1", "1"]
+    proc = spawn(python, argv, tmp, capture_output=True)
+    if proc.returncode != 0 or not (Path(tmp) / "degenscope.cli.cover").is_file():
+        return f"exit {proc.returncode}, no degenscope.cli.cover written"
+    return ""
+
+
+EXIT_CASES = ([full_device] if os.path.exists("/dev/full") else []) + [
+    closed_pipe,
+    cprofile_stats,
+    trace_cover_files,
+]
+
+
+def check_exit(python: str, case) -> str:
+    """What `case` found wrong in a fresh directory, or "" when nothing."""
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            return case(python, tmp)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return f"could not run: {exc}"
+
+
+def results(python: str, pinned: list):
+    """(name, problem) of every case under `python`, each once it has run."""
+    for name, *case in pinned:
+        yield name, check(python, *case)
+    for case in EXIT_CASES:
+        yield case.__name__, check_exit(python, case)
 
 
 def version(python: str) -> str:
@@ -106,11 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     all_cases = cases()
     for python in args.pythons:
         label = f"{python} ({version(python)})"
-        for name, case_argv, out, want_stdout, want_out in all_cases:
-            problem = check(python, case_argv, out, want_stdout, want_out)
+        for name, problem in results(python, all_cases):
             failed += bool(problem)
             print(f"FAIL {label} {name}: {problem}" if problem else f"pass {label} {name}", flush=True)
-    total = len(args.pythons) * len(all_cases)
+    total = len(args.pythons) * (len(all_cases) + len(EXIT_CASES))
     print(f"{total - failed} of {total} passed", flush=True)
     return 1 if failed else 0
 
