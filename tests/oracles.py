@@ -6,10 +6,11 @@ import csv
 import io
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from degenscope import cli, wps
-from degenscope.wps import WpsTriple
+from degenscope import cli, density, wps
+from degenscope.density import BoundCheck, DensityCensus
+from degenscope.wps import B_FAMILIES, WpsTriple
 
 
 def mld_scan(m: int, w1: int, w2: int) -> Fraction:
@@ -79,3 +80,82 @@ def scan_csv_line(p: WpsTriple) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([*p, record["verdict"], kinds, record["mld"], record["k2"]])
     return buf.getvalue()
+
+
+def single_role_count(N: int) -> int:
+    """Step-by-step reference for the one-role term of family A, one pair
+    sum s at a time (O(N log N)); the library sums arithmetic series."""
+    # ordered (a,b,c) with a | b+c: for each multiple s of a in [2, 2N] the
+    # pairs (b,c) in [1,N]^2 with b+c = s number min(s-1, 2N+1-s)
+    return sum(
+        min(s - 1, 2 * N + 1 - s)
+        for a in range(1, N + 1)
+        for s in range(max(a, 2), 2 * N + 1, a)
+    )
+
+
+def pair_role_count(N: int) -> int:
+    """Reference for the two-role term of family A: every g, x and y in
+    turn; the library sums each distinct N // g once."""
+    # ordered (a,b,c) with a | b+c and b | a+c.  With g = gcd(a,b),
+    # a = g*x and b = g*y, these hold exactly when c = g*(x*y*t - x - y)
+    # for some t >= 1, which gives floor((M+x+y)/xy) - floor((x+y)/xy)
+    # values of c <= N, where M = N // g.  That count is 0 once
+    # (x-1)(y-1) > M+1, so for x >= 2 the loop over y stops there.
+    total = 0
+    for g in range(1, N + 1):
+        M = N // g
+        for x in range(1, M + 1):
+            for y in range(1, M + 1):
+                if (x - 1) * (y - 1) > M + 1:
+                    break
+                if gcd(x, y) == 1:
+                    xy = x * y
+                    total += (M + x + y) // xy - (x + y) // xy
+    return total
+
+
+def union_census(N: int) -> DensityCensus:
+    """Reference census: family A from the two step-by-step sums above,
+    each B family as the set of its `sorted` instances, and count_S over
+    the union of the three sets, so it rests on no disjointness argument
+    (the library adds the families' counts instead)."""
+    single, pair = single_role_count(N), pair_role_count(N)
+    count_a = 3 * single - 3 * pair + N + 3 * (N // 2) + 6 * (N // 3)
+
+    members = {
+        fam: {tuple(sorted(t)) for t in density.family_b_param_instances(fam, N)} for fam in B_FAMILIES
+    }
+    b_union = set().union(*members.values())
+    count_s = count_a + 6 * sum(1 for t in b_union if not density.family_a_contains(t))
+
+    count_b1 = 6 * len(members["B1"])
+    residue_rhs = sum(a * (-(-N // a) + 1) ** 2 for a in range(1, N + 1))
+    checks = (
+        BoundCheck(
+            name="A_single_role_residue_sum",
+            holds=single <= residue_rhs,
+            lhs=str(single),
+            rhs=str(residue_rhs),
+        ),
+        BoundCheck(
+            name="B1_ordered_below_6N^(3/2)",
+            holds=count_b1 * count_b1 < 36 * N**3,
+            lhs=str(count_b1),
+            rhs=f"6*{N}^(3/2) ~ {6 * isqrt(N**3)}",
+        ),
+    )
+    return DensityCensus(
+        N=N,
+        count_A=count_a,
+        count_B1=count_b1,
+        count_B2=6 * len(members["B2"]),
+        count_B3=6 * len(members["B3"]),
+        count_S=count_s,
+        ratio=Fraction(count_s, N**3),
+        bound_checks=checks,
+        count_A_single_role=single,
+        count_B1_unordered=len(members["B1"]),
+        count_B2_unordered=len(members["B2"]),
+        count_B3_unordered=len(members["B3"]),
+    )

@@ -11,6 +11,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, isqrt
 
 import numpy as np
@@ -81,23 +82,50 @@ def _eval_chain_independent(chain):
 
 def test_criterion_02_t_classification_oracle():
     max_len, max_entry = 8, 9
+    entries = range(2, max_entry + 1)
     oracle_proper = {_eval_chain_independent(c) for c in _propagation_chains(max_len, max_entry)}
     oracle_du_val = {(k + 1, k) for k in range(1, max_len + 1)}  # chains [2^k]
 
     accepted_proper = set()
     accepted_du_val = set()
+    visited = 0
 
-    def visit(depth, m1, m0, q1, q0):
-        t = classify_t(NormalizedCqs(m1, q1))
-        if t is not None:
-            (accepted_du_val if t.n == 1 else accepted_proper).add((m1, q1))
-        if depth == max_len:
-            return
-        for a in range(2, max_entry + 1):
-            visit(depth + 1, a * m1 - m0, m1, a * q1 - q0, q1)
+    # A level holds chains of one length as four lists: the value (m, q) of
+    # each chain and the value (m', q') of its parent.  Appending an entry a
+    # gives (a*m - m', a*q - q') with parent (m, q).  That step keeps
+    # m*q' - m'*q = -1, so gcd(m, q) = 1, and 0 < q < m since every entry is
+    # at least 2: each value is a normal form, built here without
+    # NormalizedCqs checking it again.
+    def grow(level):
+        ms, m0s, qs, q0s = level
+        return (
+            [a * m - m0 for m, m0 in zip(ms, m0s) for a in entries],
+            [m for m in ms for _ in entries],
+            [a * q - q0 for q, q0 in zip(qs, q0s) for a in entries],
+            [q for q in qs for _ in entries],
+        )
 
-    for a in range(2, max_entry + 1):
-        visit(1, a, 1, 1, 0)
+    def check(level):
+        nonlocal visited
+        ms, _, qs, _ = level
+        visited += len(ms)
+        found = list(map(classify_t, map(tuple.__new__, repeat(NormalizedCqs), zip(ms, qs))))
+        for m, q, t in compress(zip(ms, qs, found), found):
+            (accepted_du_val if t.n == 1 else accepted_proper).add((m, q))
+
+    # Lengths 1-3 a level at a time, then each length-3 chain's subtree a
+    # level at a time, so that no level holds more than 8^5 chains.
+    level = ([*entries], [1] * len(entries), [1] * len(entries), [0] * len(entries))
+    check(level)
+    for _ in range(2, 4):
+        level = grow(level)
+        check(level)
+    for root in zip(*level):
+        subtree = tuple([x] for x in root)
+        for _ in range(4, max_len + 1):
+            subtree = grow(subtree)
+            check(subtree)
+    assert visited == sum(len(entries) ** n for n in range(1, max_len + 1)) == 19_173_960
 
     ok = accepted_proper == oracle_proper and accepted_du_val == oracle_du_val
     report(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -14,6 +15,7 @@ from degenscope.density import (
     family_b_param_instances,
 )
 from degenscope.wps import B_FAMILIES, WpsTriple
+from oracles import pair_role_count, single_role_count, union_census
 
 
 def _ordered_b_members(fam, N):
@@ -90,6 +92,16 @@ class TestFamilyA:
     @pytest.mark.parametrize("N", [*range(1, 61), 137, 500, 1000])
     def test_single_and_pair_terms_match_residue_counter(self, N):
         assert density._family_a_counts(N)[:2] == residue_family_a_counts(N)
+
+    def test_closed_forms_match_stepwise_sums_to_300(self):
+        for N in range(1, 301):
+            assert density._single_role_count(N) == single_role_count(N), N
+            assert density._pair_role_count(N) == pair_role_count(N), N
+
+    @pytest.mark.parametrize("N", [2000, 10**4])
+    def test_closed_forms_match_stepwise_sums(self, N):
+        assert density._single_role_count(N) == single_role_count(N)
+        assert density._pair_role_count(N) == pair_role_count(N)
 
     def test_triple_role_closed_form_matches_cubic_count(self):
         # direct count of ordered triples meeting all three divisibilities,
@@ -187,6 +199,12 @@ class TestFamilyB:
         assert not members["B1"] & members["B3"] and not members["B2"] & members["B3"]
         assert all(family_a_contains(t) for t in members["B1"] & members["B2"])
 
+    @pytest.mark.parametrize("family", B_FAMILIES)
+    def test_members_sorted_without_sort(self, family):
+        # family_b_ordered orders each instance by comparisons
+        expected = {tuple(sorted(t)) for t in family_b_param_instances(family, 2000)}
+        assert density.family_b_ordered(family, 2000) == expected
+
     def test_sorted_members_match_ordered_reference(self):
         for fam in B_FAMILIES:
             members = density.family_b_ordered(fam, 60)
@@ -236,6 +254,27 @@ class TestCensus:
         assert c.count_S == count_family_A(N) + sum(
             1 for t in b_union if not family_a_contains(t)
         )
+
+    def test_every_field_matches_union_oracle_to_300(self):
+        for N in range(1, 301):
+            assert census(N) == union_census(N), N
+
+    @pytest.mark.parametrize("N", [2000, 10**4])
+    def test_every_field_matches_union_oracle(self, N):
+        assert census(N) == union_census(N)
+
+    def test_family_sums_equal_the_union_at_every_n_to_2000(self):
+        # The census adds each family's members outside A, the union oracle
+        # counts the union's.  Tallied by largest entry, the two agree at
+        # every N <= 2000 exactly when the tallies are equal.
+        top = 2000
+        members = {fam: density.family_b_ordered(fam, top) for fam in B_FAMILIES}
+
+        def outside_a_by_max(found):
+            return Counter(t[2] for t in found if not family_a_contains(t))
+
+        per_family = sum((outside_a_by_max(members[fam]) for fam in B_FAMILIES), Counter())
+        assert per_family == outside_a_by_max(set().union(*members.values()))
 
     def test_monotone_coverage(self):
         prev = None

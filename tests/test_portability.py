@@ -23,7 +23,7 @@ def test_every_pinned_command_passes_on_this_interpreter():
     # One line per golden case, per scan_box digest case and per process-exit
     # case (the /dev/full one only where the system has the device), then
     # the tally.
-    cases = len(CASES) + 4 + (4 if os.path.exists("/dev/full") else 3)
+    cases = len(CASES) + 4 + (6 if os.path.exists("/dev/full") else 5)
     assert len(lines) == cases + 1
     assert all(line.startswith("pass ") for line in lines[:-1]), proc.stdout
     assert lines[-1] == f"{cases} of {cases} passed"

@@ -10,9 +10,12 @@ A case passes when it exits 0 and its stdout and `--out` file match the
 fixture or digest byte for byte.  Then come the process-exit cases of
 `tests/test_cli.py::TestProcessExit`: a write to /dev/full (where the
 system has one) and to a closed pipe each exit 4 with one `error:` line,
-`-m cProfile` prints its stats, and `-m trace` keeps the normal exit, so it
-writes its cover files.  One `pass` or `FAIL` line is printed per
-interpreter and case; the exit status is 1 if any case failed, else 0.
+`-m cProfile` prints its stats, `-m trace` keeps the normal exit, so it
+writes its cover files, `cli.run` ends with a hard exit that skips an
+`atexit` hook and still prints the pinned `cqs 1 0 0` bytes, and under
+`sys.settrace` it keeps the normal exit, so the hook runs.  One `pass`
+or `FAIL` line is printed per interpreter and case; the exit status is 1
+if any case failed, else 0.
 
 Only the standard library is used, here and under the interpreters run,
 so an interpreter needs no test dependencies.
@@ -138,10 +141,43 @@ def trace_cover_files(python: str, tmp: str) -> str:
     return ""
 
 
+# An `atexit` hook that reports itself on stderr, then `cli.run` on the
+# smooth germ, whose stdout is pinned in tests/golden/cqs_smooth.stdout.
+ATEXIT_PROBE = (
+    "import atexit, sys\n"
+    "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+    "{hook}\n"
+    "from degenscope import cli\n"
+    "cli.run(['cqs', '1', '0', '0'])\n"
+)
+
+
+def hard_exit(python: str, tmp: str) -> str:
+    proc = spawn(python, ["-c", ATEXIT_PROBE.format(hook="")], tmp, capture_output=True)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {last_line(proc.stderr)}"
+    problems = []
+    if proc.stdout != (GOLDEN / "cqs_smooth.stdout").read_bytes():
+        problems.append("stdout differs")
+    if b"atexit ran" in proc.stderr:
+        problems.append("the atexit hook ran")
+    return ", ".join(problems)
+
+
+def settrace_exit(python: str, tmp: str) -> str:
+    code = ATEXIT_PROBE.format(hook="sys.settrace(lambda *a: None)")
+    proc = spawn(python, ["-c", code], tmp, capture_output=True)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {last_line(proc.stderr)}"
+    return "" if b"atexit ran" in proc.stderr else "the atexit hook did not run"
+
+
 EXIT_CASES = ([full_device] if os.path.exists("/dev/full") else []) + [
     closed_pipe,
     cprofile_stats,
     trace_cover_files,
+    hard_exit,
+    settrace_exit,
 ]
 
 
