@@ -17,7 +17,7 @@ import marshal
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from math import gcd
 from typing import Any, NoReturn
 
@@ -77,6 +77,13 @@ class ChainRuns:
 # builds for every call, built once.  Payloads are fresh trees, so it skips
 # the cycle check (a cycle raises RecursionError).
 _COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
+# Its C encoder, made once with the nine arguments `JSONEncoder.iterencode`
+# passes (the same call in Python 3.10 to 3.13), which `_COMPACT.encode`
+# would make again on every call; None where the interpreter has no `_json`.
+_C_COMPACT = None if c_make_encoder is None else c_make_encoder(
+    None, _COMPACT.default, encode_basestring, _COMPACT.indent, _COMPACT.key_separator,
+    _COMPACT.item_separator, _COMPACT.sort_keys, _COMPACT.skipkeys, _COMPACT.allow_nan,
+)  # fmt: skip
 
 
 def dumps_envelope(env: Any, compact: bool = False) -> str:
@@ -91,7 +98,9 @@ def dumps_envelope(env: Any, compact: bool = False) -> str:
     a chain run by run, so an m-1 entry Du Val chain takes one string repeat.
     """
     if compact:
-        return _COMPACT.encode(env)
+        if _C_COMPACT is None:
+            return _COMPACT.encode(env)
+        return "".join(_C_COMPACT(env, 0))
     pieces: list[str] = []
     _pretty_pieces(env, "\n", pieces)
     return "".join(pieces)
@@ -193,9 +202,11 @@ def reason_payload(
     the plane's mld fields."""
     out: dict[str, Any] = {"kind": kind}
     if kind == "in_family_a":
-        out.update(verdict.family_a._asdict())
+        witness = verdict.family_a
+        out.update(zip(witness._fields, witness))
     elif kind == "in_family_b":
-        out.update(verdict.family_b._asdict())
+        witness = verdict.family_b
+        out.update(zip(witness._fields, witness))
     elif kind == "mld_at_least_one_sixth":
         out.update(mld)
     if explain:
@@ -281,13 +292,10 @@ def candidate_payload(cand: markov.CentralFiberCandidate) -> dict:
 # box scan
 
 
-# A scan record's envelope, less its reasons array (the one part whose shape varies).  Every
-# other text is an Outcome value or a rational's digits, "-", "/" and ".", never JSON-escaped.
-_RECORD = (
-    '{"schema_version":"' + SCHEMA_VERSION + '","command":"scan-record",'
-    '"input":{"triple":[%d,%d,%d]},"result":{"triple":[%d,%d,%d],"verdict":"%s",'
-    '"reasons":%s,"mld":"%s","mld_decimal":"%s","k2":"%s","k2_decimal":"%s"},"warnings":[]}'
-)
+# The head of a scan record's envelope.  Past it, every text `record_envelope`
+# writes but the reasons array is an Outcome value or a rational's digits,
+# "-", "/" and ".", never JSON-escaped.
+_RECORD_HEAD = '{"schema_version":"' + SCHEMA_VERSION + '","command":"scan-record","input":{"triple":'
 
 
 def record_envelope(p: WpsTriple, outcome: str, reasons: list, mld: dict, k2: dict) -> str:
@@ -295,8 +303,12 @@ def record_envelope(p: WpsTriple, outcome: str, reasons: list, mld: dict, k2: di
     the triple `p`, its `outcome` value, its `reason_payload` dicts `reasons`
     and its mld and k2 fields, written without building that dict."""
     a, b, c = p
-    return _RECORD % (a, b, c, a, b, c, outcome, dumps_envelope(reasons, compact=True),
-                      mld["mld"], mld["mld_decimal"], k2["k2"], k2["k2_decimal"])  # fmt: skip
+    triple = f"[{a},{b},{c}]"
+    return (
+        f'{_RECORD_HEAD}{triple}}},"result":{{"triple":{triple},"verdict":"{outcome}",'
+        f'"reasons":{dumps_envelope(reasons, compact=True)},"mld":"{mld["mld"]}",'
+        f'"mld_decimal":"{mld["mld_decimal"]}","k2":"{k2["k2"]}","k2_decimal":"{k2["k2_decimal"]}"}},"warnings":[]}}'
+    )
 
 
 def _scan_line(p: WpsTriple, explain: bool, csv_format: bool) -> str:
@@ -305,13 +317,17 @@ def _scan_line(p: WpsTriple, explain: bool, csv_format: bool) -> str:
     reads no reason payload, but they are built on both paths: the
     benchmark's trace (bench/run.py) expects `reason_payload` calls on each."""
     verdict = wps.degeneration_verdict(p)
-    mld = _mld_fields(wps.lowest_germ(verdict.points))
-    reasons = [reason_payload(kind, verdict, mld, explain) for kind in verdict.reasons]
+    low = wps.lowest_germ(verdict.points)
+    mld = {"mld": low.mld_text, "mld_decimal": low.mld_decimal}
+    reasons = []
+    for kind in verdict.reasons:
+        reasons.append(reason_payload(kind, verdict, mld, explain))
     k2 = frac_fields("k2", wps.k2(p))
     # `_value_` is the plain attribute behind the Enum's `value` property.
     outcome = verdict.outcome._value_
     if csv_format:
-        return ",".join(map(str, [*p, outcome, ";".join(verdict.reasons), mld["mld"], k2["k2"]]))
+        a, b, c = p
+        return f"{a},{b},{c},{outcome},{';'.join(verdict.reasons)},{low.mld_text},{k2['k2']}"
     return record_envelope(p, outcome, reasons, mld, k2)
 
 
@@ -320,14 +336,13 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
     well-formed triples a <= b <= c <= N for one value of a."""
     N, a, explain, csv_format = args
     lines = []
-    append = lines.append
-    for b in range(a, N + 1):
-        if gcd(a, b) != 1:
-            continue
-        for c in range(b, N + 1):
-            if gcd(a, c) == 1 and gcd(b, c) == 1:
+    append, scan_line = lines.append, _scan_line
+    coprime = [c for c in range(a, N + 1) if gcd(a, c) == 1]  # the b and c to try
+    for i, b in enumerate(coprime):
+        for c in coprime[i:]:
+            if gcd(b, c) == 1:
                 # 1 <= a <= b <= c: valid weights, built without checking again.
-                append(_scan_line(_tuple_new(WpsTriple, (a, b, c)), explain, csv_format))
+                append(scan_line(_tuple_new(WpsTriple, (a, b, c)), explain, csv_format))
     return lines
 
 

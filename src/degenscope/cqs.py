@@ -109,7 +109,7 @@ class NormalizedCqs(_NormalizedCqsFields):
             raise ValueError(f"need 0 < q < m, got (m,q)=({m},{q})")
         elif gcd(m, q) != 1:
             raise ValueError(f"(m,q)=({m},{q}) are not coprime")
-        return super().__new__(cls, m, q)
+        return _tuple_new(cls, (m, q))
 
     _make = classmethod(_validated_make)
 
@@ -144,7 +144,7 @@ class TData(_TDataFields):
             raise ValueError("d and n must be positive")
         if not (0 < a <= n) or gcd(a, n) != 1:
             raise ValueError(f"need 0 < a <= n coprime, got a={a}, n={n}")
-        return super().__new__(cls, d, n, a)
+        return _tuple_new(cls, (d, n, a))
 
     _make = classmethod(_validated_make)
 
@@ -218,14 +218,18 @@ def hj_runs(m: int, q: int) -> tuple[tuple[int, int], ...]:
     while q > 0:
         d = m - q
         if q >= d:
-            a, k = 2, q // d
+            # No run to merge with: the entry before is at least 3, and so
+            # is the next one, as q - k*d < d.
+            k = q // d
             m, q = m - k * d, q - k * d
+            runs.append((2, k))
         else:
-            a, k = -(-m // q), 1
+            a = -(-m // q)  # at least 3, as m > 2q
             m, q = q, a * q - m
-        if runs and runs[-1][0] == a:
-            k += runs.pop()[1]
-        runs.append((a, k))
+            if runs and runs[-1][0] == a:
+                runs[-1] = (a, runs[-1][1] + 1)
+            else:
+                runs.append((a, 1))
     return tuple(runs)
 
 
@@ -303,28 +307,39 @@ _BASKET_PREFIXES: tuple[tuple[str, str, tuple[int, ...]], ...] = (
     ("F4", "[3,3,2^k]", (3, 3)),
 )
 
-# Each pattern with its prefix read backwards, for a match at the far end
-# of the chain, and the number of 2's in the prefix.
-_BASKET_ENDS = tuple(
-    (family, pattern, prefix, prefix[::-1], prefix.count(2))
-    for family, pattern, prefix in _BASKET_PREFIXES
-)
+# The patterns by the first entry of their prefix, each with its prefix read
+# backwards, for a match at the far end of the chain, and the number of 2's
+# in the prefix: a pattern can match only at a chain end holding that entry.
+_BASKET_BY_HEAD = {
+    head: tuple(
+        (family, pattern, prefix, prefix[::-1], prefix.count(2))
+        for family, pattern, prefix in _BASKET_PREFIXES
+        if prefix[0] == head
+    )
+    for head in dict.fromkeys(prefix[0] for _, _, prefix in _BASKET_PREFIXES)
+}
 
 
 def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
     """All basket patterns matched by a germ's Hirzebruch-Jung chain
     (`hj_expand(m, q)`), up to reversal.
 
-    The chain is never copied: a pattern matches when its prefix sits at
-    either end and the other len(chain) - len(prefix) entries are all 2's,
-    which one `chain.count(2)`, taken once some prefix fits, decides.
+    Only the patterns whose prefix starts with the chain's first or last
+    entry are tried.  The chain is never copied: a pattern matches when its
+    prefix sits at either end and the other len(chain) - len(prefix)
+    entries are all 2's, which one `chain.count(2)`, taken once some prefix
+    fits, decides.
     """
     if not chain:
         raise ValueError("basket membership needs a singular germ (non-empty chain)")
     n = len(chain)
+    head, tail = chain[0], chain[-1]
+    ends = _BASKET_BY_HEAD.get(head, ())
+    if tail != head:
+        ends += _BASKET_BY_HEAD.get(tail, ())
     twos = None
     tags = set()
-    for family, pattern, prefix, backwards, prefix_twos in _BASKET_ENDS:
+    for family, pattern, prefix, backwards, prefix_twos in ends:
         p = len(prefix)
         if n < p or (chain[:p] != prefix and chain[n - p :] != backwards):
             continue
@@ -332,7 +347,7 @@ def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
             twos = chain.count(2)
         if twos - prefix_twos == n - p:
             tags.add(BasketTag(family, pattern, n - p))
-    if n == 3 and chain[0] == 2 and chain[2] == 2:
+    if n == 3 and head == 2 and tail == 2:
         tags.add(BasketTag("D", "[2,n,2]", chain[1]))
     return frozenset(tags)
 
@@ -362,7 +377,8 @@ def _mld_normalized(m: int, q: int) -> Fraction:
         else:
             a = -(-r0 // r1)
             u0, r0, u1, r1 = u1, r1, a * u1 - u0, a * r1 - r0
-        best = min(best, u1 + r1)
+        if u1 + r1 < best:
+            best = u1 + r1
     return Fraction(best, m)
 
 
@@ -402,8 +418,9 @@ def mld_upper_bound(s: NormalizedCqs, T: int) -> Fraction:
 
 def mld_less_than(s: NormalizedCqs, threshold: Fraction) -> bool:
     """Exact decision mld(s) < threshold, by cross-multiplying the
-    (positive) denominators rather than through `Fraction.__lt__`."""
-    n, d = mld_normalized(s).as_integer_ratio()
+    (positive) denominators of the cached mld and the threshold rather than
+    through `Fraction.__lt__`."""
+    n, d = _mld_normalized(s.m, s.q).as_integer_ratio()
     tn, td = threshold.as_integer_ratio()
     return n * td < tn * d
 

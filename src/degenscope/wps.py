@@ -207,18 +207,21 @@ def _point_core(m: int, q: int) -> GermRecord:
         return _SMOOTH_RECORD
     s = cqs.normal_form(m, q)
     mld = cqs.mld_normalized(s)
-    n, d = mld.numerator, mld.denominator
-    return GermRecord(
-        s,
-        cqs.hj_runs(m, q),
-        cqs.classify_t(s),
-        cqs.is_qg_rigid(s)[0],
-        cqs.gorenstein_index(s),
-        cqs.basket_membership(cqs.hj_expand(m, q)),
-        mld,
-        n * (m // d),
-        cqs.ratio_str(n, d),
-        cqs.ratio_decimal(n, d),
+    n, d = mld.as_integer_ratio()
+    return _tuple_new(
+        GermRecord,
+        (
+            s,
+            cqs.hj_runs(m, q),
+            cqs.classify_t(s),
+            cqs.is_qg_rigid(s)[0],
+            cqs.gorenstein_index(s),
+            cqs.basket_membership(cqs.hj_expand(m, q)),
+            mld,
+            n * (m // d),
+            cqs.ratio_str(n, d),
+            cqs.ratio_decimal(n, d),
+        ),
     )
 
 
@@ -227,19 +230,18 @@ def germ_record(germ: CqsGerm) -> GermRecord:
     return _point_core(*normalize(germ))
 
 
-def lowest_germ(points: tuple[GermRecord, ...]) -> GermRecord:
-    """The record of the fixed point of least mld, the first one on a tie.
+def lowest_germ(points: tuple[GermRecord, GermRecord, GermRecord]) -> GermRecord:
+    """The record of the plane's fixed point of least mld, the first one on
+    a tie.
 
-    Each mld is u/m with u = `mld_u`, so the minimum is found by
-    cross-multiplying integers, not by comparing Fractions."""
-    best = None
-    for rec in points:
-        m = rec.normalized.m
-        if best is None or rec.mld_u * best_m < best.mld_u * m:
-            best, best_m = rec, m
-    if best is None:
-        raise ValueError("no fixed points to take the least mld of")
-    return best
+    Each mld is u/m with u = `mld_u`, so two cross-multiplications of
+    integers, not Fraction comparisons, find the least of the three."""
+    low, y, z = points
+    if y.mld_u * low.normalized.m < low.mld_u * y.normalized.m:
+        low = y
+    if z.mld_u * low.normalized.m < low.mld_u * z.normalized.m:
+        low = z
+    return low
 
 
 def singular_points(p: WpsTriple) -> tuple[GermRecord, GermRecord, GermRecord]:
@@ -263,7 +265,8 @@ def singular_points(p: WpsTriple) -> tuple[GermRecord, GermRecord, GermRecord]:
 def k2(p: WpsTriple) -> Fraction:
     """Canonical self-intersection (a+b+c)^2 / (abc), exact."""
     a, b, c = p
-    return Fraction((a + b + c) ** 2, a * b * c)
+    s = a + b + c
+    return Fraction(s * s, a * b * c)
 
 
 def noether_check(
@@ -282,13 +285,15 @@ def noether_check(
     return (total, total == 12)
 
 
-def wps_mld(points: tuple[GermRecord, ...]) -> Fraction:
+def wps_mld(points: tuple[GermRecord, GermRecord, GermRecord]) -> Fraction:
     """Exact minimal log discrepancy of a plane: min over its classified
     fixed points."""
     return lowest_germ(points).mld
 
 
-def wps_mld_below(points: tuple[GermRecord, ...], threshold: Fraction = ONE_SIXTH) -> bool:
+def wps_mld_below(
+    points: tuple[GermRecord, GermRecord, GermRecord], threshold: Fraction = ONE_SIXTH
+) -> bool:
     """Exact decision mld(P(a,b,c)) < threshold from the plane's classified
     fixed points: the plane's mld is their minimum, so one `mld_less_than`
     call on the lowest point decides (for 1/6, whether 6*u < m)."""
@@ -330,13 +335,11 @@ def family_B_member(p: WpsTriple) -> FamilyBWitness | None:
             continue
         f, family, n, base, bound = role
         for idx in _E_LAST[i]:
-            ap = p[idx[0]]
-            l, rem = divmod(ap - 1, e)
-            if rem or l >= bound:
+            ap, bp = p[idx[0]], p[idx[1]]
+            if (ap - 1) % e or (bp - base) % e:
                 continue
-            bp = p[idx[1]]
-            k, rem = divmod(bp - base, e)
-            if rem or not 0 <= k < bound:
+            l, k = (ap - 1) // e, (bp - base) // e
+            if l >= bound or not 0 <= k < bound:
                 continue
             if best is None or (f, idx) < best_key:
                 best_key = (f, idx)

@@ -8,9 +8,10 @@ import json
 from fractions import Fraction
 from math import gcd, isqrt
 
-from degenscope import cli, density, wps
+from degenscope import cli, cqs, density, wps
+from degenscope.cqs import BasketTag, NormalizedCqs
 from degenscope.density import BoundCheck, DensityCensus
-from degenscope.wps import B_FAMILIES, WpsTriple
+from degenscope.wps import B_FAMILIES, GermRecord, WpsTriple
 
 
 def mld_scan(m: int, w1: int, w2: int) -> Fraction:
@@ -159,3 +160,66 @@ def union_census(N: int) -> DensityCensus:
         count_B2_unordered=len(members["B2"]),
         count_B3_unordered=len(members["B3"]),
     )
+
+
+# The library's earlier kernel bodies, verbatim but for the module prefix
+# on the names they read: a record found by a loop over any number of
+# points, a threshold decided through the `mld_normalized` wrapper, and
+# basket patterns tried all nine at both chain ends.
+
+
+def lowest_germ(points: tuple[GermRecord, ...]) -> GermRecord:
+    """The record of the fixed point of least mld, the first one on a tie.
+
+    Each mld is u/m with u = `mld_u`, so the minimum is found by
+    cross-multiplying integers, not by comparing Fractions."""
+    best = None
+    for rec in points:
+        m = rec.normalized.m
+        if best is None or rec.mld_u * best_m < best.mld_u * m:
+            best, best_m = rec, m
+    if best is None:
+        raise ValueError("no fixed points to take the least mld of")
+    return best
+
+
+def mld_less_than(s: NormalizedCqs, threshold: Fraction) -> bool:
+    """Exact decision mld(s) < threshold, by cross-multiplying the
+    (positive) denominators rather than through `Fraction.__lt__`."""
+    n, d = cqs.mld_normalized(s).as_integer_ratio()
+    tn, td = threshold.as_integer_ratio()
+    return n * td < tn * d
+
+
+# Each pattern with its prefix read backwards, for a match at the far end
+# of the chain, and the number of 2's in the prefix.
+_BASKET_ENDS = tuple(
+    (family, pattern, prefix, prefix[::-1], prefix.count(2))
+    for family, pattern, prefix in cqs._BASKET_PREFIXES
+)
+
+
+def basket_membership(chain: tuple[int, ...]) -> frozenset[BasketTag]:
+    """All basket patterns matched by a germ's Hirzebruch-Jung chain
+    (`hj_expand(m, q)`), up to reversal.
+
+    The chain is never copied: a pattern matches when its prefix sits at
+    either end and the other len(chain) - len(prefix) entries are all 2's,
+    which one `chain.count(2)`, taken once some prefix fits, decides.
+    """
+    if not chain:
+        raise ValueError("basket membership needs a singular germ (non-empty chain)")
+    n = len(chain)
+    twos = None
+    tags = set()
+    for family, pattern, prefix, backwards, prefix_twos in _BASKET_ENDS:
+        p = len(prefix)
+        if n < p or (chain[:p] != prefix and chain[n - p :] != backwards):
+            continue
+        if twos is None:
+            twos = chain.count(2)
+        if twos - prefix_twos == n - p:
+            tags.add(BasketTag(family, pattern, n - p))
+    if n == 3 and chain[0] == 2 and chain[2] == 2:
+        tags.add(BasketTag("D", "[2,n,2]", chain[1]))
+    return frozenset(tags)

@@ -74,10 +74,11 @@ SCAN_14_CALLS = {
 
 @pytest.fixture(scope="module")
 def scan_14_functions(tmp_path_factory) -> dict[str, dict]:
-    """The per-span stats of `scan 14 --out F`, JSON and CSV, traced once for
-    this module, each checked to write its 152 records."""
+    """The per-span stats of `scan 14 --out F`, JSON, CSV and JSON with
+    `--explain`, traced once for this module, each checked to write its 152
+    records."""
     stats = {}
-    for name, flags, lines in (("json", [], 152), ("csv", ["--csv"], 153)):
+    for name, flags, lines in (("json", [], 152), ("csv", ["--csv"], 153), ("explain", ["--explain"], 152)):
         tmp_path = tmp_path_factory.mktemp(name)
         out_path = tmp_path / "scan.out"
         stats[name] = _traced_functions(tmp_path, [*flags, "scan", "14", "--out", str(out_path)])
@@ -91,6 +92,15 @@ def test_scan_calls_every_span_the_benchmark_expects(scan_14_functions):
     assert _silent(functions, expected) == []
     # A faster path may not hide a layer from the trace: each plane span is
     # still called through its module attribute, once per plane.
+    calls = {span: functions.get(span, {}).get("calls", 0) for span in SCAN_14_CALLS}
+    assert calls == SCAN_14_CALLS
+
+
+def test_explain_scan_calls_every_span_the_benchmark_expects(scan_14_functions):
+    # The JSON test above with `--explain`, whose reasons carry their prose:
+    # the same spans, each called as often.
+    functions = scan_14_functions["explain"]
+    assert _silent(functions, _bench_run().WORKLOADS["scan_box"].expected) == []
     calls = {span: functions.get(span, {}).get("calls", 0) for span in SCAN_14_CALLS}
     assert calls == SCAN_14_CALLS
 
