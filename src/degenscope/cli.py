@@ -9,7 +9,6 @@ never appear in payloads.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -19,7 +18,8 @@ import sys
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring
 from math import gcd
-from typing import Any, NoReturn
+from types import SimpleNamespace
+from typing import Any, NamedTuple, NoReturn
 
 from . import cqs, density, markov, wps
 # `normalize` is unused here; kept bound because bench/test_bench.py checks
@@ -533,7 +533,7 @@ def _cmd_markov(args) -> dict:
                 for p in planes
             ],
         }
-    # candidates: argparse accepts no other subcommand.
+    # candidates: the grammar has no other subcommand.
     cands = markov.partial_smoothing_candidates(args.n, args.x, args.y)
     return {
         "n": args.n,
@@ -552,9 +552,150 @@ def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
     ]
 
 
+# ---------------------------------------------------------------------------
+# command-line grammar
+
+
+class Arg(NamedTuple):
+    """One argument of the grammar: an option when `name` starts with "--",
+    else a positional.  An option whose `type` is None is a switch
+    (argparse's store_true); a positional whose `nargs` is "+" takes one or
+    more values, and is its command's last positional."""
+
+    name: str
+    type: Any = int
+    nargs: str | None = None
+    metavar: str | None = None
+    required: bool = False
+    help: str | None = None
+
+
+# Valid before the command and after it (after a markov subcommand).
+GLOBAL_FLAGS = (
+    Arg("--json", None, help="JSON envelopes (default)"),
+    Arg("--csv", None, help="CSV output (density and scan)"),
+    Arg("--quiet", None, help="suppress stdout payloads"),
+    Arg("--jobs", metavar="J", help="worker processes for scan"),
+    Arg("--explain", None, help="attach a prose explanation to each verdict reason"),
+)
+GLOBAL_DEFAULTS = {"json": False, "csv": False, "quiet": False, "jobs": 1, "explain": False}
+
+# Each command's help and its arguments in declaration order (the order of
+# `--help`), global flags included; markov has subcommands in their place.
+COMMANDS: dict[str, tuple[str, Any]] = {
+    "cqs": (
+        "classify one cyclic quotient germ 1/m(w1,w2)",
+        (
+            *GLOBAL_FLAGS,
+            Arg("m"),
+            Arg("w1"),
+            Arg("w2"),
+            Arg("--bound", metavar="T", help="report the pigeonhole bound 1/T + T/m instead of the exact mld"),
+        ),
+    ),
+    "wps": ("full report and verdict for P(a,b,c)", (*GLOBAL_FLAGS, Arg("a"), Arg("b"), Arg("c"))),
+    "markov": (
+        "mutation censuses",
+        {
+            "classic": ("Markov triples up to a bound", (Arg("--bound", required=True), *GLOBAL_FLAGS)),
+            "gen": (
+                "solutions of n + x^2 + y^2 = (n+2)xy",
+                (Arg("--n", required=True), Arg("--bound", required=True), *GLOBAL_FLAGS),
+            ),
+            "degenerations": (
+                "toric degenerations of P(1,1,n)",
+                (Arg("--n", required=True), Arg("--bound", required=True), *GLOBAL_FLAGS),
+            ),
+            "candidates": (
+                "central-fiber descriptors for one solution",
+                (Arg("--n", required=True), Arg("--x", required=True), Arg("--y", required=True), *GLOBAL_FLAGS),
+            ),
+        },
+    ),
+    "density": ("exceptional-set census at one or more N", (*GLOBAL_FLAGS, Arg("sizes", nargs="+", metavar="N"))),
+    "scan": (
+        "classify every well-formed triple in [1,N]^3",
+        (*GLOBAL_FLAGS, Arg("N"), Arg("--out", str, metavar="FILE")),
+    ),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns, read from the grammar
+    table without argparse, or None for any argv argparse might read
+    otherwise or rejects: a token that starts with "-" and is not an
+    option of its parser by its exact spelling (`-h`, `--`, `--opt=value`,
+    an abbreviation, a negative number), an option given twice, at one
+    level or at two, a value that starts with "-", positionals split by
+    an option, a failed `int()`, a missing or unknown argument."""
+    values: dict[str, Any] = {}
+    args, names, level = GLOBAL_FLAGS, COMMANDS, "command"
+    read_positionals = False
+    i, n = 0, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token[:1] == "-":
+            arg = next((a for a in args if a.name == token), None)
+            if arg is None or token[2:] in values:
+                return None
+            if arg.type is None:
+                values[token[2:]] = True
+                continue
+            if i == n or argv[i][:1] == "-":
+                return None
+            try:
+                values[token[2:]] = arg.type(argv[i])
+            except ValueError:
+                return None
+            i += 1
+        elif names is not None:  # the command or the markov subcommand
+            if token not in names:
+                return None
+            values[level] = token
+            body = names[token][1]
+            args, names, level = ((), body, "subcommand") if isinstance(body, dict) else (body, None, None)
+        elif read_positionals:
+            return None
+        else:
+            read_positionals = True
+            block = [token]
+            while i < n and argv[i][:1] != "-":
+                block.append(argv[i])
+                i += 1
+            for arg in args:
+                if arg.name[0] == "-":
+                    continue
+                if not block:
+                    return None
+                take = len(block) if arg.nargs == "+" else 1
+                try:
+                    read = [arg.type(t) for t in block[:take]]
+                except ValueError:
+                    return None
+                values[arg.name] = read if arg.nargs == "+" else read[0]
+                del block[:take]
+            if block:
+                return None
+    if names is not None:
+        return None
+    for arg in args:
+        dest = arg.name.lstrip("-")
+        if dest not in values:
+            if arg.required or arg.name[0] != "-":
+                return None
+            if dest not in GLOBAL_DEFAULTS:
+                values[dest] = None
+    return SimpleNamespace(**{**GLOBAL_DEFAULTS, **values})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (by default `sys.argv[1:]`) and return its exit
+    code.  The grammar table reads it; argparse, imported only then, takes
+    `--help`, usage errors and every argv the table's reader declines."""
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
         return _dispatch(args, out)
@@ -635,7 +776,7 @@ def _dispatch(args, out) -> int:
             if hasattr(args, key):
                 inputs[key] = getattr(args, key)
         payload = _cmd_markov(args)
-    else:  # density: argparse accepts no other command.
+    else:  # density: the grammar has no other command.
         inputs = {"sizes": args.sizes, "jobs": args.jobs}
         censuses = [density.census(N) for N in args.sizes]
         warnings = _bound_check_warnings(censuses)
@@ -673,30 +814,31 @@ def _run_scan_command(args, out) -> int:
     return EXIT_OK
 
 
-def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    # Flags are valid both before and after the subcommand.  No copy has a default,
-    # so none clobbers a parsed value; `build_parser` sets the defaults once.
-    parser.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="JSON envelopes (default)"
-    )
-    parser.add_argument(
-        "--csv", action="store_true", default=argparse.SUPPRESS, help="CSV output (density and scan)"
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stdout payloads"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS, metavar="J", help="worker processes for scan"
-    )
-    parser.add_argument(
-        "--explain",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="attach a prose explanation to each verdict reason",
-    )
+def build_parser():
+    """The argparse parser of the grammar table, one `add_argument` per
+    `Arg`.  A global flag's copies in the subparsers default to SUPPRESS,
+    so only a flag given after the command sets a value there; the
+    defaults are set once, on the top parser."""
+    import argparse
 
+    def add(parser, args) -> None:
+        for arg in args:
+            if arg.name[0] != "-":
+                parser.add_argument(arg.name, type=arg.type, nargs=arg.nargs, metavar=arg.metavar, help=arg.help)
+                continue
+            default = argparse.SUPPRESS if arg.name[2:] in GLOBAL_DEFAULTS else None
+            if arg.type is None:
+                parser.add_argument(arg.name, action="store_true", default=default, help=arg.help)
+            else:
+                parser.add_argument(
+                    arg.name,
+                    type=arg.type,
+                    required=arg.required,
+                    default=default,
+                    metavar=arg.metavar,
+                    help=arg.help,
+                )
 
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenscope",
         description=(
@@ -704,55 +846,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Q-Gorenstein degeneration verdicts for weighted projective planes."
         ),
     )
-    _add_global_flags(parser)
-    parser.set_defaults(json=False, csv=False, quiet=False, jobs=1, explain=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cqs = sub.add_parser("cqs", help="classify one cyclic quotient germ 1/m(w1,w2)")
-    _add_global_flags(p_cqs)
-    p_cqs.add_argument("m", type=int)
-    p_cqs.add_argument("w1", type=int)
-    p_cqs.add_argument("w2", type=int)
-    p_cqs.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        metavar="T",
-        help="report the pigeonhole bound 1/T + T/m instead of the exact mld",
-    )
-
-    p_wps = sub.add_parser("wps", help="full report and verdict for P(a,b,c)")
-    _add_global_flags(p_wps)
-    p_wps.add_argument("a", type=int)
-    p_wps.add_argument("b", type=int)
-    p_wps.add_argument("c", type=int)
-
-    p_markov = sub.add_parser("markov", help="mutation censuses")
-    msub = p_markov.add_subparsers(dest="subcommand", required=True)
-    m_classic = msub.add_parser("classic", help="Markov triples up to a bound")
-    m_classic.add_argument("--bound", type=int, required=True)
-    m_gen = msub.add_parser("gen", help="solutions of n + x^2 + y^2 = (n+2)xy")
-    m_gen.add_argument("--n", type=int, required=True)
-    m_gen.add_argument("--bound", type=int, required=True)
-    m_deg = msub.add_parser("degenerations", help="toric degenerations of P(1,1,n)")
-    m_deg.add_argument("--n", type=int, required=True)
-    m_deg.add_argument("--bound", type=int, required=True)
-    m_cand = msub.add_parser("candidates", help="central-fiber descriptors for one solution")
-    m_cand.add_argument("--n", type=int, required=True)
-    m_cand.add_argument("--x", type=int, required=True)
-    m_cand.add_argument("--y", type=int, required=True)
-    for sp in (m_classic, m_gen, m_deg, m_cand):
-        _add_global_flags(sp)
-
-    p_density = sub.add_parser("density", help="exceptional-set census at one or more N")
-    _add_global_flags(p_density)
-    p_density.add_argument("sizes", type=int, nargs="+", metavar="N")
-
-    p_scan = sub.add_parser("scan", help="classify every well-formed triple in [1,N]^3")
-    _add_global_flags(p_scan)
-    p_scan.add_argument("N", type=int)
-    p_scan.add_argument("--out", type=str, default=None, metavar="FILE")
-
+    add(parser, GLOBAL_FLAGS)
+    parser.set_defaults(**GLOBAL_DEFAULTS)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, body) in COMMANDS.items():
+        command = commands.add_parser(name, help=summary)
+        if isinstance(body, dict):
+            subcommands = command.add_subparsers(dest="subcommand", required=True)
+            for sub, (sub_summary, sub_args) in body.items():
+                add(subcommands.add_parser(sub, help=sub_summary), sub_args)
+        else:
+            add(command, body)
     return parser
 
 

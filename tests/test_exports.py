@@ -94,3 +94,21 @@ def test_cli_import_loads_no_csv_module():
     code = "import sys, degenscope.cli\nprint(sorted({'csv', '_csv'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_cli_reads_argv_without_argparse():
+    # The grammar table reads the command line; argparse, with the gettext
+    # and locale modules it loads, is built only for help and usage errors.
+    code = (
+        "import sys\nfrom degenscope import cli\n"
+        "assert cli.main(['cqs', '1', '1', '1']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr == "[]\n"
+
+
+def test_help_still_prints_the_usage():
+    proc = subprocess.run([sys.executable, "-m", "degenscope", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: degenscope [-h]")

@@ -13,7 +13,11 @@ system has one) and to a closed pipe each exit 4 with one `error:` line,
 `-m cProfile` prints its stats, `-m trace` keeps the normal exit, so it
 writes its cover files, `cli.run` ends with a hard exit that skips an
 `atexit` hook and still prints the pinned `cqs 1 0 0` bytes, and under
-`sys.settrace` it keeps the normal exit, so the hook runs.  One `pass`
+`sys.settrace` it keeps the normal exit, so the hook runs.  Last,
+`tests/argv_cases.py` checks the CLI's argv reader against argparse on
+its fixed corpus: argparse's handling of repeated and intermixed options
+has changed between Python versions, and the reader must agree with the
+argparse of each interpreter or leave the argv to it.  One `pass`
 or `FAIL` line is printed per interpreter and case; the exit status is 1
 if any case failed, else 0.
 
@@ -181,6 +185,17 @@ EXIT_CASES = ([full_device] if os.path.exists("/dev/full") else []) + [
 ]
 
 
+def argv_reader(python: str, tmp: str) -> str:
+    proc = spawn(python, [str(ROOT / "tests" / "argv_cases.py")], tmp, capture_output=True, text=True)
+    if proc.returncode != 0:
+        lines = proc.stdout.splitlines() or [f"exit {proc.returncode}: {last_line(proc.stderr.encode())}"]
+        return "; ".join(lines[:3])
+    return ""
+
+
+OTHER_CASES = EXIT_CASES + [argv_reader]
+
+
 def check_exit(python: str, case) -> str:
     """What `case` found wrong in a fresh directory, or "" when nothing."""
     try:
@@ -194,7 +209,7 @@ def results(python: str, pinned: list):
     """(name, problem) of every case under `python`, each once it has run."""
     for name, *case in pinned:
         yield name, check(python, *case)
-    for case in EXIT_CASES:
+    for case in OTHER_CASES:
         yield case.__name__, check_exit(python, case)
 
 
@@ -222,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, problem in results(python, all_cases):
             failed += bool(problem)
             print(f"FAIL {label} {name}: {problem}" if problem else f"pass {label} {name}", flush=True)
-    total = len(args.pythons) * (len(all_cases) + len(EXIT_CASES))
+    total = len(args.pythons) * (len(all_cases) + len(OTHER_CASES))
     print(f"{total - failed} of {total} passed", flush=True)
     return 1 if failed else 0
 
