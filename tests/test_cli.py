@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from math import gcd
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenscope import cli, cqs, density, wps
+from degenscope import cli, cqs, density, pool, wps
 from degenscope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_IO_FAILURE,
@@ -44,7 +45,7 @@ def run_json(capsys, *argv):
 
 def usable_cpus(monkeypatch, n):
     """Let `fan_out` see n CPUs in this process's affinity mask."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def scan_lines(N, **kwargs):
@@ -295,7 +296,7 @@ class TestScanCommand:
             fh.write = write
             return fh
 
-        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(pool, "open", full_disk_open, raising=False)
         code, _, err = run_cli(capsys, "scan", "5", "--out", str(target))
         assert code == EXIT_IO_FAILURE and "No space left" in err
         assert target.read_text() == "previous run\n"
@@ -309,13 +310,13 @@ class TestScanCommand:
 
 
 class _ForkRecorder:
-    """Wraps `os.fork` and `cli.fan_out` for one test: records the pids of
+    """Wraps `os.fork` and `pool.fan_out` for one test: records the pids of
     the workers forked, as this process sees them, and the number each
     `fan_out` call forked (0 for one that ran in this process)."""
 
     def __init__(self, monkeypatch):
         self.pids, self.pool_sizes = [], []
-        fork, fan_out = os.fork, cli.fan_out
+        fork, fan_out = os.fork, pool.fan_out
 
         def recording_fork():
             pid = fork()
@@ -332,8 +333,8 @@ class _ForkRecorder:
             finally:
                 self.pool_sizes.append(len(self.pids) - before)
 
-        monkeypatch.setattr(cli.os, "fork", recording_fork)
-        monkeypatch.setattr(cli, "fan_out", recording_fan_out)
+        monkeypatch.setattr(pool.os, "fork", recording_fork)
+        monkeypatch.setattr(pool, "fan_out", recording_fan_out)
 
     def all_reaped(self):
         """Whether every recorded worker has exited and been reaped."""
@@ -393,10 +394,10 @@ class TestJobs:
         assert scan_lines(6, jobs=10**6) == serial  # clamped to the 3 CPUs
         assert scan_lines(2, jobs=10**6) == scan_lines(2, jobs=1)  # clamped to the 2 tasks
         # A platform without an affinity call counts the machine's CPUs.
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
         assert scan_lines(6, jobs=8) == serial
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
         assert scan_lines(6, jobs=8) == serial  # unknown CPU count: serial
         assert forks.pool_sizes == [0, 3, 2, 0, 2, 0]
         assert len(forks.pids) == 7 and forks.all_reaped()
@@ -405,7 +406,7 @@ class TestJobs:
         # As under `taskset -c 0` on a 2-CPU machine: the process may run on
         # one CPU, so --jobs 2 forks no worker.
         forks = _ForkRecorder(monkeypatch)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
         usable_cpus(monkeypatch, 1)
         assert run_cli(capsys, "--jobs", "2", "scan", "6")[0] == EXIT_OK
         assert forks.pool_sizes == [0] and forks.pids == []
@@ -492,7 +493,7 @@ class TestForkedFanOut:
         forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, workers)
         tasks = list(range(20_000))
-        with cli.fan_out(_padded, tasks, workers) as results:
+        with pool.fan_out(_padded, tasks, workers) as results:
             assert list(results) == [_padded(t) for t in tasks]
         assert len(forks.pids) == workers and forks.all_reaped()
 
@@ -506,7 +507,7 @@ class TestForkedFanOut:
                 append_line(log, "last task ends")
             return [str(i)]
 
-        with cli.fan_out(task, list(range(6)), 2) as results:
+        with pool.fan_out(task, list(range(6)), 2) as results:
             for lines in results:
                 if lines == ["0"]:
                     append_line(log, "first result")
@@ -659,6 +660,9 @@ JSON_TREES = st.recursive(
 )
 
 
+B = cli._CHAIN_BLOCK  # entries per shared block of a written chain run
+
+
 def indent2_oracle(obj):
     return json.dumps(obj, ensure_ascii=False, indent=2)
 
@@ -691,6 +695,32 @@ class TestPrettyWriter:
         chain = (2,) * 10**5
         env = {"result": {"point": {"chain": chain, "dual_chain": list(chain)}}}
         assert dumps_envelope(env) == indent2_oracle(env)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def test_chain_runs_across_the_block_size(self, a, k):
+        # A run is written from whole shared blocks plus the rest; these
+        # lengths put the rest at every edge, at entry indents 1 to 3.
+        for runs in (((a, k),), ((a, k), (5, 1), (2, k)), ((4, 2), (a, k), (3, B))):
+            chain, dual = cli.ChainRuns(runs), cli.ChainRuns(runs[::-1])
+            for env in (chain, [chain, dual], {"point": {"chain": chain, "dual_chain": dual}}):
+                assert dumps_envelope(env) == indent2_oracle(plain(env))
+
+    def test_du_val_chain_is_copied_once(self):
+        # The peak is the one join of the pieces: a run is not first built
+        # as a string of its own.
+        m = 10**6
+        payload = cli._cmd_cqs(SimpleNamespace(m=m, w1=1, w2=m - 1, bound=None))
+        env = cli.make_envelope("cqs", {}, payload, [])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = dumps_envelope(env)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 18 * 10**6
+        assert peak <= 1.1 * len(out) + 2**20
 
     @pytest.mark.parametrize(
         "leaf",

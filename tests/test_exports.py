@@ -108,6 +108,28 @@ def test_cli_reads_argv_without_argparse():
     assert proc.stderr == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv, loads_pool",
+    [
+        ([], False),  # the import alone
+        (["cqs", "1", "1", "1"], False),
+        (["wps", "4", "25", "841"], False),
+        (["markov", "degenerations", "--n", "3", "--bound", "20"], False),
+        (["density", "10"], False),
+        (["scan", "5"], True),
+    ],
+)
+def test_only_a_scan_loads_the_pool(argv, loads_pool):
+    # The fork pool and the atomic writer are compiled only for `scan`.
+    code = (
+        f"import sys\nfrom degenscope import cli\nargv = {argv!r}\n"
+        "assert not argv or cli.main(argv) == 0\n"
+        "print('degenscope.pool' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr == f"{loads_pool}\n"
+
+
 def test_help_still_prints_the_usage():
     proc = subprocess.run([sys.executable, "-m", "degenscope", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
