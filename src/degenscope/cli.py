@@ -9,16 +9,22 @@ never appear in payloads.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring
 from math import gcd
 from types import SimpleNamespace
-from typing import Any, NamedTuple, NoReturn
+
+# `json`'s C accelerator, imported directly: the `json` package would also
+# load and compile its decoder and scanner, which the CLI never uses.
+try:
+    from _json import encode_basestring, make_encoder
+except ImportError:  # no `_json`: json's pure-Python string encoder
+    from json.encoder import encode_basestring
+
+    make_encoder = None
 
 from . import cqs, density, markov, wps
 # `normalize` is unused here; kept bound because bench/test_bench.py checks
@@ -50,7 +56,7 @@ def frac_fields(name: str, f: Fraction) -> dict[str, str]:
     return {name: cqs.ratio_str(n, d), f"{name}_decimal": cqs.ratio_decimal(n, d)}
 
 
-def make_envelope(command: str, inputs: dict[str, Any], result: Any, warnings: list[str]) -> dict:
+def make_envelope(command: str, inputs: dict[str, object], result: object, warnings: list[str]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -72,20 +78,22 @@ class ChainRuns:
         self.runs = runs
 
 
-# The encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
-# builds for every call, built once.  Payloads are fresh trees, so it skips
-# the cycle check (a cycle raises RecursionError).
-_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
-# Its C encoder, made once with the nine arguments `JSONEncoder.iterencode`
-# passes (the same call in Python 3.10 to 3.13), which `_COMPACT.encode`
-# would make again on every call; None where the interpreter has no `_json`.
-_C_COMPACT = None if c_make_encoder is None else c_make_encoder(
-    None, _COMPACT.default, encode_basestring, _COMPACT.indent, _COMPACT.key_separator,
-    _COMPACT.item_separator, _COMPACT.sort_keys, _COMPACT.skipkeys, _COMPACT.allow_nan,
+def _not_serializable(obj: object):
+    """`json.JSONEncoder.default`: every object it is handed is an error."""
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+# The C encoder `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`
+# builds on every call, made once with the nine arguments
+# `JSONEncoder.iterencode` passes (the same call in Python 3.10 to 3.13).
+# Payloads are fresh trees, so it has no markers and skips the cycle check
+# (a cycle raises RecursionError).  None where the interpreter has no `_json`.
+_C_COMPACT = None if make_encoder is None else make_encoder(
+    None, _not_serializable, encode_basestring, None, ":", ",", False, False, True,
 )  # fmt: skip
 
 
-def dumps_envelope(env: Any, compact: bool = False) -> str:
+def dumps_envelope(env: object, compact: bool = False) -> str:
     """The envelope or other payload `env` as the exact bytes of
     `json.dumps(env, ensure_ascii=False, indent=2)`, or as compact JSON (the
     scan writes each record's reasons array so, see `record_envelope`).  The
@@ -99,7 +107,9 @@ def dumps_envelope(env: Any, compact: bool = False) -> str:
     """
     if compact:
         if _C_COMPACT is None:
-            return _COMPACT.encode(env)
+            import json
+
+            return json.dumps(env, ensure_ascii=False, separators=(",", ":"), check_circular=False)
         return "".join(_C_COMPACT(env, 0))
     pieces: list[str] = []
     _pretty_pieces(env, "\n", pieces)
@@ -109,7 +119,7 @@ def dumps_envelope(env: Any, compact: bool = False) -> str:
 _CHAIN_BLOCK = 4096  # entries in the one block a long chain run repeats by reference
 
 
-def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
+def _pretty_pieces(obj: object, newline: str, pieces: list[str]) -> None:
     """Append the indent-2 JSON pieces of `obj`, nested at the indent that
     `newline` carries, to `pieces`: one list joined once at the top, so a
     long chain is copied once, not once per nesting level.  Containers share
@@ -164,7 +174,7 @@ def _pretty_pieces(obj: Any, newline: str, pieces: list[str]) -> None:
         pieces.append(newline + brackets[1])
 
 
-def _classification_fields(record: wps.GermRecord) -> dict[str, Any]:
+def _classification_fields(record: wps.GermRecord) -> dict[str, object]:
     """The fields a point's germ record shares with the cqs command, in order.
 
     The chains go in as `ChainRuns` of the record's O(log m) runs, the dual
@@ -209,7 +219,7 @@ def reason_payload(
     """The fields of one reason of the verdict: a family reason carries its
     witness from the verdict, and `mld_at_least_one_sixth` carries `mld`,
     the plane's mld fields."""
-    out: dict[str, Any] = {"kind": kind}
+    out: dict[str, object] = {"kind": kind}
     if kind == "in_family_a":
         witness = verdict.family_a
         out.update(zip(witness._fields, witness))
@@ -245,7 +255,7 @@ def verdict_payload(verdict: wps.Verdict, mld: dict[str, str] | None, explain: b
 def wps_payload(report: wps.WpsReport, explain: bool = False) -> dict:
     verdict = report.verdict
     points = verdict.points
-    out: dict[str, Any] = {
+    out: dict[str, object] = {
         "weights": list(report.triple),
         "well_formed": points is not None,
     }
@@ -387,7 +397,7 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
 def _cmd_cqs(args) -> dict:
     germ = cqs.CqsGerm(args.m, args.w1, args.w2)
     record = wps.germ_record(germ)
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "germ": germ._asdict(),
         "smooth": record.smooth,
         **_classification_fields(record),
@@ -445,18 +455,15 @@ def _bound_check_warnings(censuses: list[density.DensityCensus]) -> list[str]:
 # command-line grammar
 
 
-class Arg(NamedTuple):
-    """One argument of the grammar: an option when `name` starts with "--",
-    else a positional.  An option whose `type` is None is a switch
-    (argparse's store_true); a positional whose `nargs` is "+" takes one or
-    more values, and is its command's last positional."""
+Arg = namedtuple("Arg", "name type nargs metavar required help", defaults=(int, None, None, False, None))
+Arg.__doc__ = """One argument of the grammar: an option when `name` starts with "--",
+else a positional.  An option whose `type` is None is a switch
+(argparse's store_true); a positional whose `nargs` is "+" takes one or
+more values, and is its command's last positional.
 
-    name: str
-    type: Any = int
-    nargs: str | None = None
-    metavar: str | None = None
-    required: bool = False
-    help: str | None = None
+Fields: name (str), type (a callable from str, default int, or None),
+nargs (str or None), metavar (str or None), required (bool, default
+False), help (str or None)."""
 
 
 # Valid before the command and after it (after a markov subcommand).
@@ -471,7 +478,7 @@ GLOBAL_DEFAULTS = {"json": False, "csv": False, "quiet": False, "jobs": 1, "expl
 
 # Each command's help and its arguments in declaration order (the order of
 # `--help`), global flags included; markov has subcommands in their place.
-COMMANDS: dict[str, tuple[str, Any]] = {
+COMMANDS: dict[str, tuple[str, object]] = {
     "cqs": (
         "classify one cyclic quotient germ 1/m(w1,w2)",
         (
@@ -517,7 +524,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     an abbreviation, a negative number), an option given twice, at one
     level or at two, a value that starts with "-", positionals split by
     an option, a failed `int()`, a missing or unknown argument."""
-    values: dict[str, Any] = {}
+    values: dict[str, object] = {}
     args, names, level = GLOBAL_FLAGS, COMMANDS, "command"
     read_positionals = False
     i, n = 0, len(argv)
@@ -596,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO_FAILURE
 
 
-def run(argv: list[str] | None = None) -> NoReturn:
+def run(argv: list[str] | None = None):
     """End the process with `main(argv)`'s exit code: the entry point of
     every launcher (`python -m degenscope`, `python -m degenscope.cli`, the
     `degenscope` script).
@@ -686,6 +693,8 @@ def _dispatch(args, out) -> int:
 
 
 def _run_scan_command(args, out) -> int:
+    import contextlib
+
     from .pool import atomic_line_writer
 
     # The census validates N, so invalid input exits 2 before --out is opened.

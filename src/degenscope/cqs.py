@@ -11,11 +11,11 @@ rational.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain as concat, repeat, starmap
 from math import gcd
-from typing import NamedTuple
 
 __all__ = [
     "CqsGerm",
@@ -47,24 +47,21 @@ SMOOTH_MLD = Fraction(2)  # minimal log discrepancy of a smooth surface point
 
 
 def _validated_make(cls, fields):
-    # `_make` for the value types that validate in `__new__`: the NamedTuple
+    # `_make` for the value types that validate in `__new__`: the namedtuple
     # default skips `__new__`, and `_replace` builds through `_make`.
     return cls(*fields)
 
 
 # Builds an instance once `__new__` has validated its fields, without a
-# second call through the NamedTuple's generated `__new__`.
+# second call through the namedtuple's generated `__new__`.
 _tuple_new = tuple.__new__
 
 
-class _CqsGermFields(NamedTuple):
-    m: int
-    w1: int
-    w2: int
+_CqsGermFields = namedtuple("_CqsGermFields", "m w1 w2")
 
 
 class CqsGerm(_CqsGermFields):
-    """Cyclic quotient germ 1/m(w1,w2); weights are stored reduced mod m."""
+    """Cyclic quotient germ 1/m(w1,w2) of ints; weights are stored reduced mod m."""
 
     __slots__ = ()
 
@@ -85,13 +82,11 @@ class CqsGerm(_CqsGermFields):
         return self.m == 1
 
 
-class _NormalizedCqsFields(NamedTuple):
-    m: int
-    q: int
+_NormalizedCqsFields = namedtuple("_NormalizedCqsFields", "m q")
 
 
 class NormalizedCqs(_NormalizedCqsFields):
-    """Normal form 1/m(1,q) with 0 < q < m coprime; (1,0) is a smooth point.
+    """Normal form 1/m(1,q) with 0 < q < m coprime ints; (1,0) is a smooth point.
 
     (m,q) and (m,q') present the same singularity iff q' == q or
     q*q' == 1 (mod m) (reading the resolution chain from the other end).
@@ -125,14 +120,11 @@ class NormalizedCqs(_NormalizedCqsFields):
 SMOOTH = NormalizedCqs(1, 0)
 
 
-class _TDataFields(NamedTuple):
-    d: int
-    n: int
-    a: int
+_TDataFields = namedtuple("_TDataFields", "d n a")
 
 
 class TData(_TDataFields):
-    """Witness that a germ is 1/(d*n^2)(1, d*n*a - 1).
+    """Witness that a germ is 1/(d*n^2)(1, d*n*a - 1), with ints d, n, a.
 
     n == 1 encodes the Du Val germ A_{d-1}; d == 1 (and n >= 2) is Wahl.
     """
@@ -161,12 +153,9 @@ class TData(_TDataFields):
         return NormalizedCqs(m, (self.d * self.n * self.a - 1) % m)
 
 
-class BasketTag(NamedTuple):
-    """A matched chain pattern: family in {F1..F4, D}, pattern, and its k or n."""
-
-    family: str
-    pattern: str
-    param: int
+BasketTag = namedtuple("BasketTag", "family pattern param")
+BasketTag.__doc__ = """A matched chain pattern: family (str) in {F1..F4, D}, pattern (str),
+and its k or n (param, int)."""
 
 
 @lru_cache(maxsize=65536)

@@ -18,9 +18,9 @@ lies in two families, so the families' counts add up without a union.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .wps import B_FAMILIES, family_b_row
 
@@ -36,26 +36,20 @@ __all__ = [
 ]
 
 
-class BoundCheck(NamedTuple):
-    name: str
-    holds: bool
-    lhs: str
-    rhs: str
+BoundCheck = namedtuple("BoundCheck", "name holds lhs rhs")
+BoundCheck.__doc__ = """One bound checked at a census size: its name (str), whether it holds
+(bool), and its two sides as texts (lhs, rhs: str)."""
 
-
-class DensityCensus(NamedTuple):
-    N: int
-    count_A: int
-    count_B1: int
-    count_B2: int
-    count_B3: int
-    count_S: int
-    ratio: Fraction  # count_S / N^3
-    bound_checks: tuple[BoundCheck, ...]
-    count_A_single_role: int
-    count_B1_unordered: int
-    count_B2_unordered: int
-    count_B3_unordered: int
+DensityCensus = namedtuple(
+    "DensityCensus",
+    "N count_A count_B1 count_B2 count_B3 count_S ratio bound_checks"
+    " count_A_single_role count_B1_unordered count_B2_unordered count_B3_unordered",
+)
+DensityCensus.__doc__ = """The exceptional-set census at one N (int): the int counts of the
+ordered triples in family A, in each B family and in their union S;
+ratio, the Fraction count_S / N^3; bound_checks, a tuple of BoundCheck;
+count_A_single_role, the int count of ordered triples with a | b + c;
+and count_B*_unordered, the int count of each B family's sorted members."""
 
 
 def family_a_contains(triple: tuple[int, int, int]) -> bool:

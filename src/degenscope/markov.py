@@ -12,9 +12,9 @@ coordinate, so there is no branching.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from . import cqs
 from .cqs import NormalizedCqs, _validated_make
@@ -29,13 +29,12 @@ class NotASolution(ValueError):
     """Input triple fails its defining Markov-type equation."""
 
 
-class _MarkovTripleFields(NamedTuple):
-    a: int
-    b: int
-    c: int
+_MarkovTripleFields = namedtuple("_MarkovTripleFields", "a b c")
 
 
 class MarkovTriple(_MarkovTripleFields):
+    """A sorted solution (a, b, c) in ints of a^2 + b^2 + c^2 = 3abc."""
+
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> MarkovTriple:
@@ -48,13 +47,13 @@ class MarkovTriple(_MarkovTripleFields):
     _make = classmethod(_validated_make)
 
 
-class _GenSolutionFields(NamedTuple):
-    n: int
-    x: int
-    y: int
+_GenSolutionFields = namedtuple("_GenSolutionFields", "n x y")
 
 
 class GenSolution(_GenSolutionFields):
+    """A solution 1 <= x <= y in ints of n + x^2 + y^2 = (n+2)xy, with
+    gcd(n, x, y) = 1."""
+
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, y: int) -> GenSolution:
@@ -69,21 +68,18 @@ class GenSolution(_GenSolutionFields):
     _make = classmethod(_validated_make)
 
 
-class CentralFiberCandidate(NamedTuple):
-    """Descriptor of a possible central fiber of a degeneration of P(1,1,n).
+CentralFiberCandidate = namedtuple(
+    "CentralFiberCandidate", "kind is_general_fiber toric_model basket k2 rho note", defaults=("",)
+)
+CentralFiberCandidate.__doc__ = """Descriptor of a possible central fiber of a degeneration of P(1,1,n).
 
-    Candidates are descriptors only (basket plus invariants shared by all
-    fibers); which partial smoothings actually occur is not decided here,
-    so the list is a superset by design.
-    """
+Candidates are descriptors only (basket plus invariants shared by all
+fibers); which partial smoothings actually occur is not decided here,
+so the list is a superset by design.
 
-    kind: str  # "Toric" | "NonToricGm"
-    is_general_fiber: bool
-    toric_model: WpsTriple
-    basket: tuple[NormalizedCqs, ...]
-    k2: Fraction
-    rho: int
-    note: str = ""
+Fields: kind (str, "Toric" | "NonToricGm"), is_general_fiber (bool),
+toric_model (WpsTriple), basket (tuple of NormalizedCqs), k2 (Fraction),
+rho (int), note (str, default "")."""
 
 
 def classic_markov_enumerate(bound: int) -> list[MarkovTriple]:

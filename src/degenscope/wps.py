@@ -10,34 +10,24 @@ final degeneration verdict) reduces to exact arithmetic on those germs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from . import cqs
-from .cqs import (
-    BasketTag,
-    CqsGerm,
-    NormalizedCqs,
-    TData,
-    _tuple_new,
-    _validated_make,
-    normalize,
-)
+from .cqs import CqsGerm, _tuple_new, _validated_make, normalize
 
 ONE_SIXTH = Fraction(1, 6)
 
 
-class _WpsTripleFields(NamedTuple):
-    a: int
-    b: int
-    c: int
+_WpsTripleFields = namedtuple("_WpsTripleFields", "a b c")
 
 
 class WpsTriple(_WpsTripleFields):
-    """Weights of P(a,b,c); raw order is preserved for reporting."""
+    """Weights of P(a,b,c), three positive ints; raw order is preserved for
+    reporting."""
 
     __slots__ = ()
 
@@ -54,7 +44,12 @@ class WpsTriple(_WpsTripleFields):
         return gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1
 
 
-class GermRecord(NamedTuple):
+_GermRecordFields = namedtuple(
+    "_GermRecordFields", "normalized runs t_data rigid gorenstein_index baskets mld mld_u mld_text mld_decimal"
+)
+
+
+class GermRecord(_GermRecordFields):
     """One normal form 1/m(1,q), classified once and cached by `_point_core`:
     a classified fixed point of a plane is its germ's record.
 
@@ -64,44 +59,38 @@ class GermRecord(NamedTuple):
     and in the two renderings of the payload.  What follows from a kept
     field is not stored: the Milnor number mu is `t_data.d - 1`, and the
     rigidity test's r is `gorenstein_index` and its k is m // r.
+
+    Fields: normalized (NormalizedCqs), runs (tuple of (entry, count) int
+    pairs), t_data (TData or None), rigid (bool), gorenstein_index (int),
+    baskets (frozenset of BasketTag), mld (Fraction), mld_u (int: mld ==
+    mld_u / normalized.m, not reduced), mld_text and mld_decimal (str).
     """
 
-    normalized: NormalizedCqs
-    runs: tuple[tuple[int, int], ...]
-    t_data: TData | None
-    rigid: bool
-    gorenstein_index: int
-    baskets: frozenset[BasketTag]
-    mld: Fraction
-    mld_u: int  # mld == mld_u / normalized.m, not reduced
-    mld_text: str
-    mld_decimal: str
+    __slots__ = ()
 
     @property
     def smooth(self) -> bool:
         return self.normalized.m == 1
 
 
-class FamilyAWitness(NamedTuple):
-    """Permutation (a',b',c') of the weights with b' + c' divisible by a'."""
-
-    permutation: tuple[int, int, int]
-    indices: tuple[int, int, int]
+FamilyAWitness = namedtuple("FamilyAWitness", "permutation indices")
+FamilyAWitness.__doc__ = """Permutation (a',b',c') of the weights with b' + c' divisible by a',
+and the input positions it takes them from: two int triples."""
 
 
-class FamilyBWitness(NamedTuple):
+_FamilyBWitnessFields = namedtuple("_FamilyBWitnessFields", "family n l k permutation indices")
+
+
+class FamilyBWitness(_FamilyBWitnessFields):
     """Match of a weight permutation against one exceptional family.
 
     instantiate() rebuilds the parameterized triple, which must equal
     `permutation` exactly; `indices` maps it back onto the input order.
+    Fields: family (str), the ints n, l and k, and the int triples
+    permutation and indices.
     """
 
-    family: str
-    n: int
-    l: int
-    k: int
-    permutation: tuple[int, int, int]
-    indices: tuple[int, int, int]
+    __slots__ = ()
 
     def instantiate(self) -> tuple[int, int, int]:
         return family_b_instance(self.family, self.n, self.l, self.k)
@@ -160,30 +149,24 @@ class Outcome(Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
-class Verdict(NamedTuple):
-    """The decision, with what it was made from: the reason kinds
-    (not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth,
-    in that order), the germ records of the three fixed points and the
-    plane's mld (both None when the plane is not well-formed), and the
-    family witnesses, which are found for every plane."""
+Verdict = namedtuple("Verdict", "outcome reasons points family_a family_b mld")
+Verdict.__doc__ = """The decision, with what it was made from: the reason kinds
+(not_well_formed | in_family_a | in_family_b | mld_at_least_one_sixth,
+in that order), the germ records of the three fixed points and the
+plane's mld (both None when the plane is not well-formed), and the
+family witnesses, which are found for every plane.
 
-    outcome: Outcome
-    reasons: tuple[str, ...]
-    points: tuple[GermRecord, GermRecord, GermRecord] | None
-    family_a: FamilyAWitness | None
-    family_b: FamilyBWitness | None
-    mld: Fraction | None
+Fields: outcome (Outcome), reasons (tuple of str), points (three
+GermRecords or None), family_a (FamilyAWitness or None), family_b
+(FamilyBWitness or None), mld (Fraction or None)."""
 
+WpsReport = namedtuple("WpsReport", "triple k2 noether verdict")
+WpsReport.__doc__ = """Everything the CLI shows for one plane: the invariants, and the
+verdict with the fixed points, mld and family witnesses it was made
+from.
 
-class WpsReport(NamedTuple):
-    """Everything the CLI shows for one plane: the invariants, and the
-    verdict with the fixed points, mld and family witnesses it was made
-    from."""
-
-    triple: WpsTriple
-    k2: Fraction
-    noether: tuple[Fraction, bool] | None
-    verdict: Verdict
+Fields: triple (WpsTriple), k2 (Fraction), noether ((Fraction, bool) or
+None), verdict (Verdict)."""
 
 
 _SMOOTH_RECORD = GermRecord(

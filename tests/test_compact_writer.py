@@ -6,15 +6,21 @@ The compact writer calls a C encoder built once at import
 `JSONEncoder` it was built from.  Each case runs on both: the fallback is
 forced by setting `cli._C_COMPACT` to None.  The cases are every reasons
 array `scan 60` writes, with and without `--explain`, and payloads with
-non-ASCII text, nested lists and tuples, None and booleans.
+non-ASCII text, nested lists and tuples, None and booleans.  Last, a
+process that has no `_json` at all prints every JSON golden case of
+`cqs`, `wps` and `scan` byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from json.encoder import c_make_encoder
+from pathlib import Path
 
 import pytest
+from golden_cases import CASES
 
 from degenscope import cli
 
@@ -87,3 +93,53 @@ def test_every_scan_60_reasons_array(explain, encoder, monkeypatch):
 )
 def test_explicit_payloads(obj, encoder):
     assert cli.dumps_envelope(obj, compact=True) == compact_oracle(obj)
+
+
+TESTS = Path(__file__).resolve().parent
+
+# The golden cases whose output the JSON writers print: every `cqs`, `wps`
+# and non-CSV `scan` case, `--explain` ones included.
+JSON_CASES = [
+    (name, argv) for name, argv in CASES if name.split("_")[0] in ("cqs", "wps", "scan") and "--csv" not in argv
+]
+
+# Hides `_json` before anything imports it, then runs each case named on
+# the command line in-process in its own directory under argv[1] and
+# prints "ok NAME", or "differs NAME", per case.
+NO_C_ACCELERATOR = """
+import sys
+sys.modules["_json"] = None
+import contextlib, io, os
+from pathlib import Path
+tests = Path(sys.argv[2])
+sys.path[:0] = [str(tests.parent / "src"), str(tests)]
+from degenscope import cli
+from golden_cases import CASES, OUT
+assert cli._C_COMPACT is None
+for name, argv in CASES:
+    if name not in sys.argv[3:]:
+        continue
+    workdir = Path(sys.argv[1]) / name
+    workdir.mkdir()
+    os.chdir(workdir)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    same = code == 0 and buf.getvalue().encode() == (tests / "golden" / f"{name}.stdout").read_bytes()
+    if OUT in argv:
+        same = same and (workdir / OUT).read_bytes() == (tests / "golden" / f"{name}.outfile").read_bytes()
+    print("ok" if same else "differs", name, flush=True)
+"""
+
+
+def test_golden_json_cases_without_the_c_accelerator(tmp_path):
+    names = [name for name, _ in JSON_CASES]
+    assert {"wps_explain_1_5_8", "scan_12_explain_out_jobs2", "scan_12", "cqs_2000_1_1999"} <= set(names)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_C_ACCELERATOR, str(tmp_path), str(TESTS), *names],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"ok {name}" for name in names]

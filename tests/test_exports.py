@@ -7,8 +7,8 @@ public name of a module's `__all__` or of the package namespace may be an
 object another library defines (a re-exported `fractions.Fraction`, say).
 Every name a module other than the package's `__init__`, a test file or a
 tool under tools/ imports must be used in it, so an import cannot outlive
-the code that needed it; and `import degenscope.cli` loads no module the
-CLI does not use.
+the code that needed it; and `import degenscope.cli`, and each command
+run in a fresh process, load no module the CLI does not use.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from import_budget import BUDGET, over_budget
 
 import degenscope
 
@@ -128,6 +129,19 @@ def test_only_a_scan_loads_the_pool(argv, loads_pool):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stderr == f"{loads_pool}\n"
+
+
+@pytest.mark.parametrize("argv, banned", BUDGET, ids=[argv[0] for argv, _ in BUDGET])
+def test_each_command_stays_within_its_import_budget(argv, banned):
+    # No command loads the `json` package or `typing`, and only a scan
+    # loads `contextlib`; see tests/import_budget.py.
+    assert over_budget(sys.executable, argv, banned) == ""
+
+
+def test_the_import_budget_check_sees_a_loaded_module():
+    # The probe reports what it finds: `cqs` loads the germ module.
+    found = over_budget(sys.executable, ("cqs", "1", "1", "1"), ("degenscope.cqs", "json"))
+    assert found == "cqs 1 1 1 loaded ['degenscope.cqs']"
 
 
 def test_help_still_prints_the_usage():

@@ -1,14 +1,17 @@
-"""The value types are immutable NamedTuples: fields cannot be assigned,
-six of them validate in their constructor, and all of them pickle."""
+"""The value types are immutable named tuples: fields cannot be assigned,
+six of them validate in their constructor, all of them pickle, and their
+fields, defaults and reprs are the ones recorded below."""
 
 import pickle
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
-from degenscope import cqs, density, markov, wps
+from degenscope import cli, cqs, density, markov, wps
 from degenscope.cqs import CqsGerm, NormalizedCqs, TData
-from degenscope.markov import GenSolution, MarkovTriple, NotASolution
+from degenscope.markov import CentralFiberCandidate, GenSolution, MarkovTriple, NotASolution
 from degenscope.wps import WpsTriple
 
 VALUE_TYPES = {
@@ -116,3 +119,106 @@ def test_reports_and_verdicts_survive_pickling(triple):
     for value in (report, report.verdict):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
+
+
+def samples():
+    """One instance of each value type and of the grammar's `cli.Arg`."""
+    plane = wps.analyze(WpsTriple(1, 3, 4)).verdict
+    report = wps.analyze(WpsTriple(2, 4, 6))
+    cen = density.census(2)
+    return [
+        CqsGerm(7, 9, -1),
+        NormalizedCqs(7, 2),
+        cqs.classify_t(NormalizedCqs(4, 1)),
+        min(cqs.basket_membership((3, 2))),
+        WpsTriple(1, 3, 4),
+        plane.points[1],
+        plane.family_a,
+        plane.family_b,
+        report.verdict,
+        report,
+        cen.bound_checks[0],
+        cen,
+        MarkovTriple(1, 2, 5),
+        GenSolution(3, 1, 4),
+        CentralFiberCandidate("Toric", True, WpsTriple(1, 1, 3), (NormalizedCqs(3, 1),), Fraction(25, 3), 1),
+        cli.Arg("--jobs", metavar="J"),
+    ]
+
+
+# Recorded from the value types as they were declared with `typing.NamedTuple`:
+# the field names and the repr of the sample above, per type.
+RECORDED = {
+    "CqsGerm": ("m w1 w2", "CqsGerm(m=7, w1=2, w2=6)"),
+    "NormalizedCqs": ("m q", "NormalizedCqs(m=7, q=2)"),
+    "TData": ("d n a", "TData(d=1, n=2, a=1)"),
+    "BasketTag": ("family pattern param", "BasketTag(family='F1', pattern='[3,2^k]', param=1)"),
+    "WpsTriple": ("a b c", "WpsTriple(a=1, b=3, c=4)"),
+    "GermRecord": (
+        "normalized runs t_data rigid gorenstein_index baskets mld mld_u mld_text mld_decimal",
+        "GermRecord(normalized=NormalizedCqs(m=3, q=1), runs=((3, 1),), t_data=None, rigid=True, "
+        "gorenstein_index=3, baskets=frozenset({BasketTag(family='F1', pattern='[3,2^k]', param=0)}), "
+        "mld=Fraction(2, 3), mld_u=2, mld_text='2/3', mld_decimal='0.666666666666')",
+    ),
+    "FamilyAWitness": ("permutation indices", "FamilyAWitness(permutation=(1, 3, 4), indices=(0, 1, 2))"),
+    "FamilyBWitness": (
+        "family n l k permutation indices",
+        "FamilyBWitness(family='B1', n=2, l=0, k=0, permutation=(1, 3, 4), indices=(0, 1, 2))",
+    ),
+    "Verdict": (
+        "outcome reasons points family_a family_b mld",
+        "Verdict(outcome=<Outcome.OUT_OF_SCOPE: 'OutOfScope'>, reasons=('not_well_formed',), points=None, "
+        "family_a=FamilyAWitness(permutation=(2, 4, 6), indices=(0, 1, 2)), family_b=None, mld=None)",
+    ),
+    "WpsReport": (
+        "triple k2 noether verdict",
+        "WpsReport(triple=WpsTriple(a=2, b=4, c=6), k2=Fraction(3, 1), noether=None, "
+        "verdict=Verdict(outcome=<Outcome.OUT_OF_SCOPE: 'OutOfScope'>, reasons=('not_well_formed',), "
+        "points=None, family_a=FamilyAWitness(permutation=(2, 4, 6), indices=(0, 1, 2)), family_b=None, "
+        "mld=None))",
+    ),
+    "BoundCheck": ("name holds lhs rhs", "BoundCheck(name='A_single_role_residue_sum', holds=True, lhs='6', rhs='17')"),
+    "DensityCensus": (
+        "N count_A count_B1 count_B2 count_B3 count_S ratio bound_checks count_A_single_role "
+        "count_B1_unordered count_B2_unordered count_B3_unordered",
+        "DensityCensus(N=2, count_A=8, count_B1=0, count_B2=0, count_B3=0, count_S=8, ratio=Fraction(1, 1), "
+        "bound_checks=(BoundCheck(name='A_single_role_residue_sum', holds=True, lhs='6', rhs='17'), "
+        "BoundCheck(name='B1_ordered_below_6N^(3/2)', holds=True, lhs='0', rhs='6*2^(3/2) ~ 12')), "
+        "count_A_single_role=6, count_B1_unordered=0, count_B2_unordered=0, count_B3_unordered=0)",
+    ),
+    "MarkovTriple": ("a b c", "MarkovTriple(a=1, b=2, c=5)"),
+    "GenSolution": ("n x y", "GenSolution(n=3, x=1, y=4)"),
+    "CentralFiberCandidate": (
+        "kind is_general_fiber toric_model basket k2 rho note",
+        "CentralFiberCandidate(kind='Toric', is_general_fiber=True, toric_model=WpsTriple(a=1, b=1, c=3), "
+        "basket=(NormalizedCqs(m=3, q=1),), k2=Fraction(25, 3), rho=1, note='')",
+    ),
+    "Arg": (
+        "name type nargs metavar required help",
+        "Arg(name='--jobs', type=<class 'int'>, nargs=None, metavar='J', required=False, help=None)",
+    ),
+}
+
+# The recorded defaults; every other type has none.
+RECORDED_DEFAULTS = {
+    "CentralFiberCandidate": {"note": ""},
+    "Arg": {"type": int, "nargs": None, "metavar": None, "required": False, "help": None},
+}
+
+
+def test_the_samples_cover_every_recorded_type():
+    assert [type(v).__name__ for v in samples()] == list(RECORDED)
+    assert set(RECORDED) == VALUE_TYPES | {"Arg"}
+
+
+@pytest.mark.parametrize("value", samples(), ids=lambda v: type(v).__name__)
+def test_fields_defaults_and_repr_are_the_recorded_ones(value):
+    cls = type(value)
+    fields, text = RECORDED[cls.__name__]
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == RECORDED_DEFAULTS.get(cls.__name__, {})
+    assert repr(value) == text
+    # A tuple with no instance dict, defined where pickle looks it up.
+    assert isinstance(value, tuple)
+    assert not hasattr(value, "__dict__")
+    assert getattr(sys.modules[cls.__module__], cls.__name__) is cls

@@ -17,9 +17,12 @@ writes its cover files, `cli.run` ends with a hard exit that skips an
 `tests/argv_cases.py` checks the CLI's argv reader against argparse on
 its fixed corpus: argparse's handling of repeated and intermixed options
 has changed between Python versions, and the reader must agree with the
-argparse of each interpreter or leave the argv to it.  One `pass`
-or `FAIL` line is printed per interpreter and case; the exit status is 1
-if any case failed, else 0.
+argparse of each interpreter or leave the argv to it, and
+`tests/import_budget.py` checks that `cqs`, `wps`, `density`, `markov
+degenerations` and `scan` each load only the modules they are allowed
+to, in a fresh `python -S` process.  One `pass` or `FAIL` line is
+printed per interpreter and case; the exit status is 1 if any case
+failed, else 0.
 
 Only the standard library is used, here and under the interpreters run,
 so an interpreter needs no test dependencies.
@@ -42,6 +45,7 @@ CASE_TIMEOUT_S = 300
 
 sys.path.insert(0, str(ROOT / "tests"))
 from golden_cases import BENCH_IDS, BENCH_SCAN_OUT, BENCH_SCANS, CASES, OUT  # noqa: E402
+from import_budget import BUDGET, over_budget  # noqa: E402
 
 
 def sha256(data: bytes) -> str:
@@ -193,7 +197,11 @@ def argv_reader(python: str, tmp: str) -> str:
     return ""
 
 
-OTHER_CASES = EXIT_CASES + [argv_reader]
+def import_budget(python: str, tmp: str) -> str:
+    return "; ".join(filter(None, (over_budget(python, argv, banned, tmp) for argv, banned in BUDGET)))
+
+
+OTHER_CASES = EXIT_CASES + [argv_reader, import_budget]
 
 
 def check_exit(python: str, case) -> str:
