@@ -677,6 +677,9 @@ def _dispatch(args, out) -> int:
         censuses = [density.census(N) for N in args.sizes]
         warnings = _bound_check_warnings(censuses)
         if args.csv:
+            # A CSV table has no envelope to carry the warnings.
+            for warning in warnings:
+                print(f"warning: {warning}", file=sys.stderr)
             if not args.quiet:
                 print(",".join(CENSUS_CSV_HEADER), file=out)
                 for c in censuses:

@@ -185,39 +185,19 @@ def partial_smoothing_candidates(n: int, x: int, y: int) -> list[CentralFiberCan
     degree = Fraction((n + 2) ** 2, n)
     model = WpsTriple(sol.x**2, sol.y**2, n)
 
-    candidates = []
-    if wahls:
-        candidates.append(
-            CentralFiberCandidate(
-                kind="Toric",
-                is_general_fiber=False,
-                toric_model=model,
-                basket=(base_point, *wahls),
-                k2=degree,
-                rho=1,
-            )
-        )
-    if len(wahls) > 1:  # smoothing the only Wahl point is total smoothing
-        for kept in sorted(wahls, key=lambda s: s.m):
-            candidates.append(
-                CentralFiberCandidate(
-                    kind="NonToricGm",
-                    is_general_fiber=False,
-                    toric_model=model,
-                    basket=(base_point, kept),
-                    k2=degree,
-                    rho=1,
-                    note=NONTORIC_WEIGHT_NOTE,
-                )
-            )
-    candidates.append(
+    # The Wahl points each fiber keeps: all of them (the toric fiber), each
+    # one alone when there are two (smoothing the only one is total
+    # smoothing), and none (the general fiber).
+    alone = [[point] for point in sorted(wahls, key=lambda s: s.m)] if len(wahls) > 1 else []
+    return [
         CentralFiberCandidate(
-            kind="Toric",
-            is_general_fiber=True,
-            toric_model=WpsTriple(1, 1, n),
-            basket=(base_point,),
+            kind="NonToricGm" if len(kept) == 1 < len(wahls) else "Toric",
+            is_general_fiber=not kept,
+            toric_model=model if kept else WpsTriple(1, 1, n),
+            basket=(base_point, *kept),
             k2=degree,
             rho=1,
+            note=NONTORIC_WEIGHT_NOTE if len(kept) == 1 < len(wahls) else "",
         )
-    )
-    return candidates
+        for kept in ([wahls] if wahls else []) + alone + [[]]
+    ]

@@ -108,13 +108,19 @@ def fan_out(fn, tasks: list, jobs: int):
 def atomic_line_writer(path: str):
     """Yield a line writer into a temporary file in the directory of `path`
     and rename it to `path` on success, so a failed run leaves any previous
-    file at `path` untouched and no partial file behind."""
+    file at `path` untouched and no partial file behind.  The temporary
+    name holds the pid and a random token, drawn again while a file of
+    that name exists: one left by a killed run is not touched."""
     directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _naming(exc, path) from None
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise _naming(exc, path) from None
     try:
         with fh:
             yield lambda line: fh.write(line + "\n")

@@ -1,13 +1,15 @@
-"""The modules a CLI command may not load, checked in a fresh process.
+"""The modules a CLI command may load, checked in a fresh process.
 
-`tests/test_exports.py` runs the check on this interpreter and
-`tools/portability.py` under each interpreter it is given, so this file
-uses only the standard library.
+`tools/portability.py` runs every row of `BUDGET` under each interpreter
+it is given, `tests/test_portability.py` runs that tool on the current
+one, and `tests/test_exports.py` checks that the probe sees a loaded
+module, so this file uses only the standard library.
 
 The process runs under `python -S -B`, with this checkout's `src` put on
 `sys.path` by the probe itself.  Without `-S`, a site `.pth` file may
 import `typing` or `contextlib` before the program starts and hide a
-regression.
+regression.  The probe gives the process two usable CPUs and counts the
+workers it forks.
 """
 
 from __future__ import annotations
@@ -17,40 +19,76 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# What no command but `scan` needs: the `json` package (the CLI takes its C
-# encoder straight from `_json`), json's decoder, `typing` and `contextlib`.
-NOT_LOADED = ("json", "json.decoder", "typing", "contextlib")
+# What the CLI never loads: `csv` (a CSV row is a comma join), argparse with
+# the gettext and locale modules it loads (argparse is built only for help
+# and usage errors), `dataclasses`, the `json` package and `typing` (the CLI
+# takes its C encoder straight from `_json`, and its value types are
+# `collections.namedtuple`s), and `multiprocessing` and `pickle` (the fork
+# pool runs on `os.fork`, pipes and `marshal`).
+NEVER = (
+    "csv", "_csv", "argparse", "gettext", "locale", "dataclasses",
+    "json", "json.decoder", "typing", "multiprocessing", "pickle",
+)  # fmt: skip
+# What only a scan loads: its fork pool and atomic writer, which are
+# context managers; and what only its forked fan-out loads.
+SCAN = ("degenscope.pool", "contextlib")
+FORKED = ("select", "signal")
 
-# (argv, the modules its run may not load).  A scan's fork pool and atomic
-# writer are context managers, so `scan` may load `contextlib`.
-BUDGET = (
-    (("cqs", "1", "1", "1"), NOT_LOADED),
-    (("wps", "4", "25", "841"), NOT_LOADED),
-    (("density", "10"), NOT_LOADED),
-    (("markov", "degenerations", "--n", "3", "--bound", "20"), NOT_LOADED),
-    (("scan", "5"), ("json", "json.decoder", "typing")),
-)
+# name: (argv, the modules its run may not load, the modules it must load,
+# the workers it forks).  An empty argv is `import degenscope.cli` alone.
+BUDGET = {
+    "import": ((), NEVER + SCAN + FORKED, (), 0),
+    "cqs": (("cqs", "1", "1", "1"), NEVER + SCAN + FORKED, (), 0),
+    "wps": (("wps", "4", "25", "841"), NEVER + SCAN + FORKED, (), 0),
+    "density": (("density", "10"), NEVER + SCAN + FORKED, (), 0),
+    "markov": (("markov", "degenerations", "--n", "3", "--bound", "20"), NEVER + SCAN + FORKED, (), 0),
+    "scan": (("scan", "5"), NEVER + FORKED, SCAN, 0),
+    "scan_jobs2": (("--jobs", "2", "--quiet", "scan", "6"), NEVER, SCAN + FORKED, 2),
+}
 
-# Runs `cli.main(argv)`, then writes on stderr the sorted list of the
-# banned modules that are loaded, and exits with main's code.
+# Runs `cli.main(argv)`, then writes on stderr the sorted lists of the
+# banned modules that are loaded and of the needed ones that are not, and
+# the number of forks, and exits with main's code.
 PROBE = (
-    "import sys\n"
+    "import os, sys\n"
     "sys.path.insert(0, {src!r})\n"
+    "os.sched_getaffinity = lambda pid: {{0, 1}}\n"
+    "forks, fork = [], os.fork\n"
+    "os.fork = lambda: forks.append(1) or fork()\n"
     "from degenscope import cli\n"
-    "code = cli.main({argv!r})\n"
+    "code = cli.main({argv!r}) if {argv!r} else 0\n"
     "print(sorted(set({banned!r}) & set(sys.modules)), file=sys.stderr)\n"
+    "print(sorted(set({needed!r}) - set(sys.modules)), file=sys.stderr)\n"
+    "print(len(forks), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
-def over_budget(python: str, argv: tuple[str, ...], banned: tuple[str, ...], cwd: str | None = None) -> str:
-    """What a fresh `python -S -B` that runs `argv` loaded of `banned`, or
-    how it failed; "" when it loaded none of them."""
-    code = PROBE.format(src=str(SRC), argv=list(argv), banned=banned)
+def over_budget(
+    python: str,
+    argv: tuple[str, ...],
+    banned: tuple[str, ...],
+    needed: tuple[str, ...] = (),
+    forks: int = 0,
+    cwd: str | None = None,
+) -> str:
+    """What a fresh `python -S -B` that runs `argv` loaded of `banned`, did
+    not load of `needed`, and whether it forked other than `forks` workers,
+    or how it failed; "" when none of these happened."""
+    code = PROBE.format(src=str(SRC), argv=list(argv), banned=banned, needed=needed)
     proc = subprocess.run(
         [python, "-S", "-B", "-c", code], cwd=cwd, capture_output=True, text=True, timeout=300
     )
+    label = " ".join(argv) or "import degenscope.cli"
     lines = proc.stderr.splitlines()
-    if proc.returncode != 0 or not lines:
-        return f"{' '.join(argv)}: exit {proc.returncode}: {lines[-1] if lines else ''}"
-    return "" if lines[-1] == "[]" else f"{' '.join(argv)} loaded {lines[-1]}"
+    if proc.returncode != 0 or len(lines) < 3:
+        return f"{label}: exit {proc.returncode}: {lines[-1] if lines else ''}"
+    loaded, missing, forked = lines[-3:]
+    problems = []
+    if loaded != "[]":
+        problems.append(f"loaded {loaded}")
+    if missing != "[]":
+        problems.append(f"did not load {missing}")
+    if forked != str(forks):
+        problems.append(f"forked {forked} workers, not {forks}")
+    return f"{label} {', '.join(problems)}" if problems else ""

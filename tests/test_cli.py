@@ -104,7 +104,7 @@ class TestCqsCommand:
         code, _, err = run_cli(capsys, "cqs", "4", "2", "1")
         assert code == EXIT_INVALID_INPUT and "unit" in err
 
-    def test_limit_exceeded_exit_3(self, capsys):
+    def test_mld_cap_is_gone(self, capsys):
         # there is no mld cap and no exit code 3 any more: argparse rejects
         # the removed --limit-mld flag, and the Wahl germ n = 10007 (order
         # above the former 10^8 cap) gets its exact mld
@@ -115,7 +115,7 @@ class TestCqsCommand:
         assert r["mld"] == "1/10007"
         assert r["t_data"] == {"d": 1, "n": 10007, "a": 5003} and r["wahl"]
 
-    def test_bound_avoids_limit(self, capsys):
+    def test_bound_reports_the_pigeonhole_quantity(self, capsys):
         # --bound reports the pigeonhole quantity instead of the exact mld
         code, out, _ = run_cli(capsys, "cqs", "100140049", "1", "50065020", "--bound", "10")
         assert code == EXIT_OK
@@ -224,6 +224,11 @@ class TestDensityCommand:
         assert run_json(capsys, "density", "7")["warnings"] == expected
         scan = run_json(capsys, "scan", "7", "--out", str(tmp_path / "records.jsonl"))
         assert scan["warnings"] == expected
+        # A CSV table has no envelope: the warnings go to stderr, quiet or not.
+        code, out, err = run_cli(capsys, "--csv", "density", "7")
+        assert code == EXIT_OK and out.startswith("N,count_A,")
+        assert err == f"warning: {expected[0]}\n"
+        assert run_cli(capsys, "--quiet", "--csv", "density", "7") == (EXIT_OK, "", err)
 
 
 class TestScanCommand:
@@ -307,6 +312,21 @@ class TestScanCommand:
         assert code == EXIT_OK
         assert json.loads(target.read_text().splitlines()[0])["command"] == "scan-record"
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_stale_temporary_file_does_not_block_out(self, tmp_path, capsys, monkeypatch):
+        # A killed run whose pid this process now has left its temporary
+        # file, under the old name and under the first token drawn.
+        monkeypatch.setattr(pool.os, "getpid", lambda: 4242)
+        tokens = iter([bytes(6), b"\1" * 6])
+        monkeypatch.setattr(pool.os, "urandom", lambda n: next(tokens))
+        stale = [tmp_path / ".o.jsonl.4242.tmp", tmp_path / ".o.jsonl.4242.000000000000.tmp"]
+        for path in stale:
+            path.write_text("stale\n")
+        code, _, err = run_cli(capsys, "scan", "5", "--out", str(tmp_path / "o.jsonl"))
+        assert code == EXIT_OK, err
+        assert json.loads((tmp_path / "o.jsonl").read_text().splitlines()[0])["command"] == "scan-record"
+        assert [path.read_text() for path in stale] == ["stale\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["o.jsonl", *(p.name for p in stale)])
 
 
 class _ForkRecorder:
@@ -569,43 +589,12 @@ class TestForkedFanOut:
 
 
 class TestStartup:
-    def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(self):
-        # Nor `select` or `signal`, which only the forked fan-out imports.
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "from degenscope import cli\n"
-            "assert cli.main(['cqs', '1', '1', '1']) == 0\n"
-            "modules = {'dataclasses', 'multiprocessing', 'select', 'signal'}\n"
-            "loaded = modules & (set(sys.modules) - before)\n"
-            "assert not loaded, sorted(loaded)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["result"]["smooth"] is True
-
     def test_scan_with_two_jobs_forks_a_real_pool(self, capsys, monkeypatch):
         forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
         code, out, _ = run_cli(capsys, "--jobs", "2", "--quiet", "scan", "6")
         assert code == EXIT_OK and out == ""
         assert forks.pool_sizes == [2] and len(forks.pids) == 2 and forks.all_reaped()
-
-    def test_two_job_scan_loads_neither_multiprocessing_nor_pickle(self):
-        code = (
-            "import os, sys\n"
-            "from degenscope import cli\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "forks, fork = [], os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
-            "assert cli.main(['--jobs', '2', '--quiet', 'scan', '6']) == 0\n"
-            "assert len(forks) == 2, forks\n"
-            "loaded = {'multiprocessing', 'pickle'} & set(sys.modules)\n"
-            "assert not loaded, sorted(loaded)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [["frobnicate"], ["markov", "frobnicate"]])
@@ -813,167 +802,11 @@ class TestChainRunsWriter:
 
 
 class TestConsoleScript:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "degenscope", "cqs", "4", "1", "1"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        env = json.loads(proc.stdout)
-        assert env["result"]["chain"] == [4] and env["result"]["wahl"]
-
-    def test_module_invocation_bad_input(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "degenscope", "wps", "-1", "2", "3"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == EXIT_INVALID_INPUT
-
     def test_script_target_is_run(self):
         tomllib = pytest.importorskip("tomllib")
         with open(ROOT / "pyproject.toml", "rb") as f:
             scripts = tomllib.load(f)["project"]["scripts"]
         assert scripts == {"degenscope": "degenscope.cli:run"}
-
-    def test_package_and_cli_module_print_the_same_bytes(self):
-        outs = [
-            subprocess.run(
-                [sys.executable, "-m", module, "cqs", "4", "1", "1"], capture_output=True, check=True
-            ).stdout
-            for module in ("degenscope", "degenscope.cli")
-        ]
-        assert outs[0] == outs[1] and json.loads(outs[0])["result"]["chain"] == [4]
-
-
-def buffered_run(argv, stdout):
-    """Run `python -m degenscope *argv` with Python's default buffered
-    stdout, so the envelope reaches `stdout` only in the final flush."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run(
-        [sys.executable, "-m", "degenscope", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
-    )
-
-
-def run_code(code):
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-
-
-class TestProcessExit:
-    """`cli.run` ends each CLI process: a flushed stdout, then a hard exit
-    that skips interpreter teardown, except under a profiler or tracer."""
-
-    # The scan writes about 35 KB, so its first failed write happens inside
-    # `main`, which reports it; `--help` ends in argparse's SystemExit.
-    ARGVS = [["cqs", "1", "1", "1"], ["--csv", "density", "10"], ["scan", "12"], ["--help"]]
-
-    def assert_io_failure(self, proc):
-        assert proc.returncode == EXIT_IO_FAILURE, proc.stderr
-        assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1, proc.stderr
-        assert "Exception ignored" not in proc.stderr
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-    @pytest.mark.parametrize("argv", ARGVS)
-    def test_full_device_exits_4(self, argv):
-        with open("/dev/full", "w") as full:
-            proc = buffered_run(argv, full)
-        self.assert_io_failure(proc)
-        assert "No space left on device" in proc.stderr
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-    def test_write_failure_inside_main_is_reported_once(self):
-        # Python sizes stdout's buffer by the file's block size.  Above the
-        # text layer's 8 KiB chunks (a regular file on some file systems), a
-        # chunk that fails inside `main` leaves bytes buffered, and the
-        # final flush fails with them again.
-        code = (
-            "import io, sys\n"
-            "sys.stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(1, 'w'), 1 << 14))\n"
-            "from degenscope import cli\n"
-            "cli.run(['scan', '12'])\n"
-        )
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-c", code], stdout=full, stderr=subprocess.PIPE, text=True)
-        self.assert_io_failure(proc)
-
-    @pytest.mark.parametrize("argv", ARGVS)
-    def test_closed_pipe_exits_4(self, argv):
-        r, w = os.pipe()
-        os.close(r)
-        try:
-            proc = buffered_run(argv, w)
-        finally:
-            os.close(w)
-        self.assert_io_failure(proc)
-
-    HARD_EXIT = (
-        "import atexit, sys\n"
-        "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
-        "sys.argv = ['degenscope', 'cqs', '1', '0', '0']\n"
-    )
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            "from degenscope import cli\ncli.run(sys.argv[1:])\n",
-            "import runpy\nrunpy.run_module('degenscope', run_name='__main__')\n",
-        ],
-        ids=["cli.run", "__main__"],
-    )
-    def test_run_skips_interpreter_teardown(self, call):
-        proc = run_code(self.HARD_EXIT + call)
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout == (ROOT / "tests" / "golden" / "cqs_smooth.stdout").read_text()
-        assert "atexit ran" not in proc.stderr
-
-    @pytest.mark.parametrize("streams", ["sys.stdout", "sys.stdout = sys.stderr"])
-    def test_closed_descriptors_leave_no_stream_to_flush(self, streams):
-        # Python sets sys.stdout (sys.stderr) to None when it starts with
-        # descriptor 1 (2) closed.
-        proc = run_code(f"import sys\n{streams} = None\nfrom degenscope import cli\ncli.run(['cqs', '1', '1', '1'])\n")
-        assert proc.returncode == EXIT_OK and proc.stdout == proc.stderr == ""
-
-    def test_usage_error_keeps_its_code(self):
-        proc = run_code("from degenscope import cli\ncli.run(['wps'])\n")
-        assert proc.returncode == EXIT_INVALID_INPUT and proc.stderr.startswith("usage:")
-
-    @pytest.mark.parametrize(
-        "hook",
-        [
-            "sys.setprofile(lambda *a: None)",
-            "sys.settrace(lambda *a: None)",
-            pytest.param(
-                "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'probe')",
-                marks=pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="PEP 669 is Python 3.12+"),
-            ),
-        ],
-    )
-    def test_hooked_run_keeps_the_normal_exit(self, hook):
-        proc = run_code(self.HARD_EXIT + hook + "\nfrom degenscope import cli\ncli.run(sys.argv[1:])\n")
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "atexit ran" in proc.stderr
-
-    def test_cprofile_prints_its_stats(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cProfile", "-m", "degenscope", "cqs", "1", "1", "1"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        envelope, stats = proc.stdout.split("\n}\n", 1)
-        assert json.loads(envelope + "}")["command"] == "cqs"
-        assert "function calls" in stats
-
-    def test_trace_writes_its_cover_files(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "trace", "--count", "-C", str(tmp_path), "--module", "degenscope"]
-            + ["cqs", "1", "1", "1"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert (tmp_path / "degenscope.cli.cover").is_file()
 
 
 # Small and edge integers: orders up to 10^4 for germs, planes and Markov

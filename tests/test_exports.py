@@ -7,20 +7,21 @@ public name of a module's `__all__` or of the package namespace may be an
 object another library defines (a re-exported `fractions.Fraction`, say).
 Every name a module other than the package's `__init__`, a test file or a
 tool under tools/ imports must be used in it, so an import cannot outlive
-the code that needed it; and `import degenscope.cli`, and each command
-run in a fresh process, load no module the CLI does not use.
+the code that needed it.  The probe that checks, in a fresh process,
+which modules `import degenscope.cli` and each command load
+(`tests/import_budget.py`) reports a module it finds; its table runs in
+`tests/test_portability.py`.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from import_budget import BUDGET, over_budget
+from import_budget import over_budget
 
 import degenscope
 
@@ -90,61 +91,7 @@ def test_every_import_is_used(path):
     assert unused <= UNUSED_IMPORTS_ALLOWED
 
 
-def test_cli_import_loads_no_csv_module():
-    # A CSV row is a comma join; the `csv` module would only add start-up time.
-    code = "import sys, degenscope.cli\nprint(sorted({'csv', '_csv'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
-
-
-def test_cli_reads_argv_without_argparse():
-    # The grammar table reads the command line; argparse, with the gettext
-    # and locale modules it loads, is built only for help and usage errors.
-    code = (
-        "import sys\nfrom degenscope import cli\n"
-        "assert cli.main(['cqs', '1', '1', '1']) == 0\n"
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stderr == "[]\n"
-
-
-@pytest.mark.parametrize(
-    "argv, loads_pool",
-    [
-        ([], False),  # the import alone
-        (["cqs", "1", "1", "1"], False),
-        (["wps", "4", "25", "841"], False),
-        (["markov", "degenerations", "--n", "3", "--bound", "20"], False),
-        (["density", "10"], False),
-        (["scan", "5"], True),
-    ],
-)
-def test_only_a_scan_loads_the_pool(argv, loads_pool):
-    # The fork pool and the atomic writer are compiled only for `scan`.
-    code = (
-        f"import sys\nfrom degenscope import cli\nargv = {argv!r}\n"
-        "assert not argv or cli.main(argv) == 0\n"
-        "print('degenscope.pool' in sys.modules, file=sys.stderr)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stderr == f"{loads_pool}\n"
-
-
-@pytest.mark.parametrize("argv, banned", BUDGET, ids=[argv[0] for argv, _ in BUDGET])
-def test_each_command_stays_within_its_import_budget(argv, banned):
-    # No command loads the `json` package or `typing`, and only a scan
-    # loads `contextlib`; see tests/import_budget.py.
-    assert over_budget(sys.executable, argv, banned) == ""
-
-
 def test_the_import_budget_check_sees_a_loaded_module():
     # The probe reports what it finds: `cqs` loads the germ module.
     found = over_budget(sys.executable, ("cqs", "1", "1", "1"), ("degenscope.cqs", "json"))
     assert found == "cqs 1 1 1 loaded ['degenscope.cqs']"
-
-
-def test_help_still_prints_the_usage():
-    proc = subprocess.run([sys.executable, "-m", "degenscope", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: degenscope [-h]")
