@@ -12,9 +12,11 @@ import tracemalloc
 from math import gcd
 from types import SimpleNamespace
 
+import exit_cases
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from import_budget import over_budget
 
 from degenscope import cli, cqs, density, pool, wps
 from degenscope.cli import (
@@ -589,6 +591,11 @@ class TestForkedFanOut:
 
 
 class TestStartup:
+    def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(self):
+        # Nor `select` or `signal`, which only the forked fan-out imports.
+        banned = ("dataclasses", "multiprocessing", "select", "signal")
+        assert over_budget(sys.executable, ("cqs", "1", "1", "1"), banned) == ""
+
     def test_scan_with_two_jobs_forks_a_real_pool(self, capsys, monkeypatch):
         forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
@@ -802,6 +809,17 @@ class TestChainRunsWriter:
 
 
 class TestConsoleScript:
+    def test_module_invocation(self, tmp_path):
+        proc = exit_cases.spawn(
+            sys.executable, ["-m", "degenscope", "cqs", "4", "1", "1"], str(tmp_path), capture_output=True
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        env = json.loads(proc.stdout)
+        assert env["result"]["chain"] == [4] and env["result"]["wahl"]
+
+    def test_package_and_cli_module_print_the_same_bytes(self, tmp_path):
+        assert exit_cases.cli_module(sys.executable, str(tmp_path)) == ""
+
     def test_script_target_is_run(self):
         tomllib = pytest.importorskip("tomllib")
         with open(ROOT / "pyproject.toml", "rb") as f:

@@ -10,7 +10,8 @@ tool under tools/ imports must be used in it, so an import cannot outlive
 the code that needed it.  The probe that checks, in a fresh process,
 which modules `import degenscope.cli` and each command load
 (`tests/import_budget.py`) reports a module it finds; its table runs in
-`tests/test_portability.py`.
+`tests/test_portability.py`, and the tests below put single rules of it
+under their own names.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from import_budget import over_budget
+from import_budget import BUDGET, over_budget
 
 import degenscope
 
@@ -95,3 +96,37 @@ def test_the_import_budget_check_sees_a_loaded_module():
     # The probe reports what it finds: `cqs` loads the germ module.
     found = over_budget(sys.executable, ("cqs", "1", "1", "1"), ("degenscope.cqs", "json"))
     assert found == "cqs 1 1 1 loaded ['degenscope.cqs']"
+
+
+def test_cli_import_loads_no_csv_module():
+    # A CSV row is a comma join; the `csv` module would only add start-up time.
+    assert over_budget(sys.executable, (), ("csv", "_csv")) == ""
+
+
+def test_cli_reads_argv_without_argparse():
+    # The grammar table reads the command line; argparse, with the gettext
+    # and locale modules it loads, is built only for help and usage errors.
+    assert over_budget(sys.executable, ("cqs", "1", "1", "1"), ("argparse", "gettext", "locale")) == ""
+
+
+@pytest.mark.parametrize("name", ["cqs", "wps", "density", "markov", "scan"])
+def test_each_command_stays_within_its_import_budget(name):
+    assert over_budget(sys.executable, *BUDGET[name]) == ""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_pool",
+    [
+        ([], False),  # the import alone
+        (["cqs", "1", "1", "1"], False),
+        (["wps", "4", "25", "841"], False),
+        (["markov", "degenerations", "--n", "3", "--bound", "20"], False),
+        (["density", "10"], False),
+        (["scan", "5"], True),
+    ],
+)
+def test_only_a_scan_loads_the_pool(argv, loads_pool):
+    # The fork pool and the atomic writer are compiled only for `scan`.
+    pool = ("degenscope.pool",)
+    banned, needed = ((), pool) if loads_pool else (pool, ())
+    assert over_budget(sys.executable, tuple(argv), banned, needed) == ""
