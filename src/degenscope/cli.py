@@ -14,6 +14,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
@@ -365,12 +366,21 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
     return lines
 
 
+def _box_germs(N: int, limit: int):
+    """The first `limit` of the singular germs a scan of a <= b <= c <= N
+    meets, as normal forms (m, q) in order: every 1/m(1,q) with 2 <= m <= N
+    and gcd(m, q) = 1, the fixed point of weight m of the plane (1, q, m)."""
+    return islice(((m, q) for m in range(2, N + 1) for q in range(1, m) if gcd(m, q) == 1), limit)
+
+
 def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bool = False) -> int:
     """Classify every well-formed sorted triple a <= b <= c <= N, hand each
     output line to `write` and return the record count.
 
-    There is one task per value of a; its lines reach `write` in triple
-    order, whatever the worker count, as soon as the task is back.
+    Each germ of the box is classified once per run, here, before any
+    worker is forked; the workers inherit the cached records.  There is
+    one task per value of a; its lines reach `write` in triple order,
+    whatever the worker count, as soon as the task is back.
     """
     from .pool import fan_out  # only a scan compiles the pool
 
@@ -380,6 +390,13 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if csv_format:
         write(",".join(RECORD_CSV_HEADER))
+    # The task a = 1 meets every one of these germs, so at --jobs 1 this
+    # classifies nothing the scan would not, and forked workers inherit
+    # the records instead of each classifying them again.  It stops at the
+    # cache's bound, so it evicts none of its own records.
+    point_core = wps._point_core
+    for m, q in _box_germs(N, point_core.cache_parameters()["maxsize"]):
+        point_core(m, q)
     count = 0
     tasks = [(N, a, explain, csv_format) for a in range(1, N + 1)]
     with fan_out(_scan_slice, tasks, jobs) as chunks:
@@ -596,11 +613,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args, out)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_INVALID_INPUT
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_IO_FAILURE
+
+
+def _report(exc: Exception) -> None:
+    """Write the `error:` line of `exc` to stderr.  A stderr that cannot
+    take it (a closed pipe, a full disk, a closed descriptor) loses the
+    line, not the exit code already chosen."""
+    try:
+        if sys.stderr is not None:  # else print would write to stdout
+            print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
 
 
 def run(argv: list[str] | None = None):
@@ -610,13 +638,14 @@ def run(argv: list[str] | None = None):
 
     It flushes stdout, and a failed flush (a full disk, a closed pipe) is
     an I/O failure: exit 4, with one `error:` line on stderr unless `main`
-    has already reported one.  argparse's own exits (`--help`, a usage
-    error) take the same path with their code.  Then it leaves through
-    `os._exit`, which skips interpreter teardown: no output waits for it,
-    and it costs about 8-10 ms per run.  An exception that escapes `main`
-    (Ctrl-C, a bug) leaves through the normal exit with its traceback, and
-    so does every run under a profiler, tracer or coverage tool, which
-    writes its report at that exit."""
+    has already reported one.  A stderr that cannot be written changes no
+    exit code.  argparse's own exits (`--help`, a usage error) take the
+    same path with their code.  Then it leaves through `os._exit`, which
+    skips interpreter teardown: no output waits for it, and it costs about
+    8-10 ms per run.  An exception that escapes `main` (Ctrl-C, a bug)
+    leaves through the normal exit with its traceback, and so does every
+    run under a profiler, tracer or coverage tool, which writes its report
+    at that exit."""
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -628,10 +657,13 @@ def run(argv: list[str] | None = None):
             sys.stdout.flush()
     except OSError as exc:
         if code != EXIT_IO_FAILURE:
-            print(f"error: {exc}", file=sys.stderr)
+            _report(exc)
         code = EXIT_IO_FAILURE
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # as in `_report`: the code stands
     if _hooked():
         sys.exit(code)
     os._exit(code)

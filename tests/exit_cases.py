@@ -13,7 +13,8 @@ given, and `tests/test_portability.py` runs that tool on the current one.
 `cli.run` ends each CLI process: it flushes stdout, then leaves through a
 hard exit that skips interpreter teardown, except under a profiler or
 tracer, whose report needs the normal exit.  A write or flush that fails
-(a full disk, a closed pipe) exits 4 with exactly one `error:` line.
+(a full disk, a closed pipe) exits 4 with exactly one `error:` line; a
+stderr that cannot take that line changes no exit code.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def spawn(python: str, args: list[str], cwd: str, **kwargs) -> subprocess.Comple
 
 
 def last_line(stderr: bytes) -> str:
-    """The last line of `stderr`, so that a report stays one line."""
-    lines = stderr.decode(errors="replace").strip().splitlines()
+    """The last line of `stderr` (None when it was not captured), so that
+    a report stays one line."""
+    lines = (stderr or b"").decode(errors="replace").strip().splitlines()
     return lines[-1] if lines else ""
 
 
@@ -79,13 +81,28 @@ def full_device(args: list[str], python: str, tmp: str) -> str:
     return io_failure(proc, (b"No space left on device" in proc.stderr, "no ENOSPC message"))
 
 
-def closed_pipe(args: list[str], python: str, tmp: str) -> str:
+def spawn_on_dead_pipe(python: str, args: list[str], tmp: str, streams: tuple[str, ...], **kwargs):
+    """`spawn` with each of `streams` ("stdout", "stderr") on one pipe
+    whose reader has gone."""
     r, w = os.pipe()
     os.close(r)
     try:
-        return io_failure(spawn(python, args, tmp, stdout=w, stderr=subprocess.PIPE))
+        return spawn(python, args, tmp, **dict.fromkeys(streams, w), **kwargs)
     finally:
         os.close(w)
+
+
+def closed_pipe(args: list[str], python: str, tmp: str) -> str:
+    return io_failure(spawn_on_dead_pipe(python, args, tmp, ("stdout",), stderr=subprocess.PIPE))
+
+
+def closed_stderr(args: list[str], code: int, streams: tuple[str, ...], python: str, tmp: str) -> str:
+    """`args` still exits `code` when its `error:` line cannot be written:
+    `streams`, stderr among them, share a pipe whose reader has gone, and
+    any other stream is /dev/null."""
+    others = dict.fromkeys({"stdout", "stderr"}.difference(streams), subprocess.DEVNULL)
+    proc = spawn_on_dead_pipe(python, args, tmp, streams, **others)
+    return report(proc, exits(proc, code))
 
 
 # The argv whose output fails: `cqs` and `--csv density` output waits in
@@ -141,12 +158,12 @@ def monitoring(python: str, tmp: str) -> str:
     return ends(MONITORING + RUN, True, python, tmp)
 
 
-def closed_streams(streams: str, python: str, tmp: str) -> str:
+def closed_streams(streams: str, argv: list[str], code: int, python: str, tmp: str) -> str:
     # Python sets sys.stdout (sys.stderr) to None when it starts with
     # descriptor 1 (2) closed.
-    code = f"import sys\n{streams} = None\nfrom degenscope import cli\ncli.run(['cqs', '1', '1', '1'])\n"
-    proc = spawn(python, ["-c", code], tmp, capture_output=True)
-    return report(proc, exits(proc, 0), (proc.stdout == proc.stderr == b"", "output written"))
+    source = f"import sys\n{streams} = None\nfrom degenscope import cli\ncli.run({argv!r})\n"
+    proc = spawn(python, ["-c", source], tmp, capture_output=True)
+    return report(proc, exits(proc, code), (proc.stdout == proc.stderr == b"", "output written"))
 
 
 def usage_error(python: str, tmp: str) -> str:
@@ -209,10 +226,15 @@ ROWS = {
     **{f"full_device_{name}": partial(full_device, ["-m", "degenscope", *argv]) for name, argv in IO_ARGVS.items()},
     "full_device_inside_main": partial(full_device, ["-c", BIG_BUFFER_SCAN]),
     **{f"closed_pipe_{name}": partial(closed_pipe, ["-m", "degenscope", *argv]) for name, argv in IO_ARGVS.items()},
+    "closed_pipe_stdout_and_stderr": partial(
+        closed_stderr, ["-m", "degenscope", "cqs", "1", "1", "1"], 4, ("stdout", "stderr")
+    ),
+    "closed_pipe_stderr_bad_input": partial(closed_stderr, ["-m", "degenscope", "cqs", "0", "1", "1"], 2, ("stderr",)),
     "hard_exit_cli_run": partial(ends, RUN, False),
     "hard_exit_runpy": partial(ends, RUNPY, False),
-    "closed_stdout": partial(closed_streams, "sys.stdout"),
-    "closed_stdout_and_stderr": partial(closed_streams, "sys.stdout = sys.stderr"),
+    "closed_stdout": partial(closed_streams, "sys.stdout", ["cqs", "1", "1", "1"], 0),
+    "closed_stdout_and_stderr": partial(closed_streams, "sys.stdout = sys.stderr", ["cqs", "1", "1", "1"], 0),
+    "closed_stderr_bad_input": partial(closed_streams, "sys.stderr", ["cqs", "0", "1", "1"], 2),
     "usage_error": usage_error,
     "setprofile": partial(ends, "sys.setprofile(lambda *a: None)\n" + RUN, True),
     "settrace": partial(ends, "sys.settrace(lambda *a: None)\n" + RUN, True),

@@ -80,3 +80,11 @@ def test_report_lines_name_each_side(ab):
     assert lines[1].startswith("  parent median 0.34 ")
     assert lines[2].startswith("  change median 0.31 ")
     assert "change 10, parent 0 of 10" in lines[3] and lines[3].endswith("claim holds")
+
+
+def test_cpu_per_wall_is_the_median_of_each_runs_ratio(ab):
+    # One CPU's worth of time reads about 1.0; two workers at once up to 2.0.
+    assert ab.cpu_per_wall([0.29, 0.30, 0.31], [0.30, 0.30, 0.31]) == pytest.approx(1.0)
+    assert ab.cpu_per_wall([0.36, 0.2, 0.6], [0.2, 0.2, 0.3]) == pytest.approx(1.8)
+    with pytest.raises(ValueError):
+        ab.cpu_per_wall([0.3], [0.3, 0.3])

@@ -475,6 +475,25 @@ class TestJobs:
         assert lines == sorted(lines)
         assert forks.pool_sizes == [0 if jobs == 1 else 2] and forks.all_reaped()
 
+    def test_forked_workers_classify_no_germ(self, monkeypatch, tmp_path):
+        # The scan classifies its box's germs before it forks; the workers
+        # inherit the records.  `hj_runs` runs for each germ classified.
+        forks = _ForkRecorder(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        log = tmp_path / "pids"
+
+        def logged(m, q, _fn=cqs.hj_runs):
+            append_line(log, str(os.getpid()))
+            return _fn(m, q)
+
+        monkeypatch.setattr(cqs, "hj_runs", logged)
+        wps._point_core.cache_clear()  # earlier tests warm it
+        forked = scan_lines(20, jobs=2)
+        assert forks.pool_sizes == [2] and len(forks.pids) == 2 and forks.all_reaped()
+        pids = set(log.read_text().split())
+        assert pids == {str(os.getpid())} and not pids & {str(pid) for pid in forks.pids}
+        assert forked == scan_lines(20, jobs=1)
+
     def test_failing_write_exits_the_pool(self, monkeypatch):
         forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)

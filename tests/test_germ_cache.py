@@ -131,3 +131,51 @@ def test_every_lru_cache_is_bounded():
     assert {"degenscope.wps._point_core", "degenscope.wps._b_role"} <= set(caches)
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def box_germ_count(N: int) -> int:
+    """The sum of phi(m) over 2 <= m <= N: the singular germs 1/m(1,q) of
+    the box a <= b <= c <= N."""
+    return sum(1 for m in range(2, N + 1) for q in range(1, m) if gcd(m, q) == 1)
+
+
+def test_the_warm_up_holds_exactly_the_germs_a_scan_meets(monkeypatch):
+    limit = wps._point_core.cache_parameters()["maxsize"]
+    met = set()
+
+    def recording(m, q, _core=wps._point_core):
+        met.add((m, q))
+        return _core(m, q)
+
+    monkeypatch.setattr(wps, "_point_core", recording)
+    for N in range(1, 31):
+        met.clear()
+        for a in range(1, N + 1):
+            cli._scan_slice((N, a, False, True))
+        warm = list(cli._box_germs(N, limit))
+        assert len(warm) == len(set(warm)) == box_germ_count(N)
+        assert met == {*warm, (1, 0)}, N  # and the smooth point, met at a = 1
+
+
+def test_a_scan_classifies_each_germ_of_its_box_once():
+    # The warm-up before the scan, then the scan itself: one miss per germ.
+    for N in range(1, 31):
+        wps._point_core.cache_clear()
+        assert cli.run_scan(N, lambda line: None, csv_format=True) > 0
+        assert wps._point_core.cache_info().misses == 1 + box_germ_count(N), N
+
+
+def test_the_warm_up_stops_at_its_limit(monkeypatch):
+    germs = list(cli._box_germs(12, 10**6))
+    assert len(germs) == box_germ_count(12) == 45
+    for limit in (0, 1, 7, 44, 45, 46):
+        assert list(cli._box_germs(12, limit)) == germs[:limit]
+    # From N = 464 on the box has more germs than the point cache holds;
+    # the warm-up fills the cache and stops, evicting none of its records.
+    maxsize = wps._point_core.cache_parameters()["maxsize"]
+    assert box_germ_count(463) < maxsize < box_germ_count(464)
+    assert sum(1 for _ in cli._box_germs(464, maxsize)) == maxsize
+    limits = []
+    monkeypatch.setattr(cli, "_box_germs", lambda N, limit: limits.append(limit) or [])
+    cli.run_scan(3, lambda line: None)
+    assert limits == [maxsize]

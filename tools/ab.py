@@ -11,7 +11,10 @@ the host does not always fall on the same side.  The end-to-end metrics
 `BENCHMARK.json`.  For each metric the summary gives each side's median
 and quartiles, how many pairs each side won, and whether the claim rule
 holds for the change: it won at least 9 of every 10 pairs, and its median
-beats the parent's by more than the parent's interquartile range.
+beats the parent's by more than the parent's interquartile range.  Last
+comes each side's median of `cpu_ref_s / wall_ref_s`: about 1.0 when a
+run had one CPU's worth of time, up to 2.0 when two scan workers ran at
+once, so it tells whether a pool had its second CPU free.
 
 Nothing in either checkout is edited; `bench/run.py` writes its results
 under `.bench_out/` there as usual.  Only the standard library is used.
@@ -73,6 +76,11 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def cpu_per_wall(cpu: list[float], wall: list[float]) -> float:
+    """The median over runs of each run's CPU time over its wall time."""
+    return statistics.median(c / w for c, w in zip(cpu, wall, strict=True))
+
+
 def report_lines(metric: str, unit: str, s: dict) -> list[str]:
     p, c = s["parent"], s["change"]
     return [
@@ -113,6 +121,12 @@ def main(argv: list[str] | None = None) -> int:
         name = m["name"]
         s = summarize(samples["parent"][name], samples["change"][name], m["better"])
         print("\n".join(report_lines(name, m["unit"], s)))
+    if {"cpu_ref_s", "wall_ref_s"} <= samples["parent"].keys():
+        ratios = {side: cpu_per_wall(s["cpu_ref_s"], s["wall_ref_s"]) for side, s in samples.items()}
+        print(
+            f"cpu_ref_s / wall_ref_s median: parent {ratios['parent']:.3f}, change {ratios['change']:.3f} "
+            "(1.0: one CPU's worth of time)"
+        )
     return 0
 
 

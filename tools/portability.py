@@ -14,10 +14,11 @@ handling of repeated and intermixed options has changed between Python
 versions, and the reader must agree with the argparse of each interpreter
 or leave the argv to it.  Then come the two tables of the CLI's process
 rules, one case per row: `tests/exit_cases.py`, how a run ends (a full
-disk or a closed pipe exits 4 with one `error:` line, the hard exit, the
-normal exit kept under a profiler or tracer, usage errors, `--help`, the
-`-m degenscope.cli` launcher), and `tests/import_budget.py`, the modules
-each command may load and must load, in a fresh `python -S` process.
+disk or a closed pipe exits 4 with one `error:` line, a dead stderr keeps
+the exit code, the hard exit, the normal exit kept under a profiler or
+tracer, usage errors, `--help`, the `-m degenscope.cli` launcher), and
+`tests/import_budget.py`, the modules each command may load and must
+load, in a fresh `python -S` process.
 
 One `pass`, `FAIL` or `skip` line is printed per interpreter and case; a
 row that cannot apply there is skipped with its reason (a machine without
