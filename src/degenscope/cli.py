@@ -9,7 +9,6 @@ never appear in payloads.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 from collections import namedtuple
@@ -351,9 +350,9 @@ def _scan_line(p: WpsTriple, explain: bool, csv_format: bool) -> str:
     return record_envelope(p, outcome, reasons, mld, k2)
 
 
-def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
-    """The finished output lines, compact JSON envelopes or CSV rows, of the
-    well-formed triples a <= b <= c <= N for one value of a."""
+def _scan_slice(args: tuple[int, int, bool, bool]) -> str:
+    """The output block of one value of a: the compact JSON envelope or CSV
+    row, and a newline, of each well-formed triple a <= b <= c <= N."""
     N, a, explain, csv_format = args
     lines = []
     append, scan_line = lines.append, _scan_line
@@ -363,7 +362,8 @@ def _scan_slice(args: tuple[int, int, bool, bool]) -> list[str]:
             if gcd(b, c) == 1:
                 # 1 <= a <= b <= c: valid weights, built without checking again.
                 append(scan_line(_tuple_new(WpsTriple, (a, b, c)), explain, csv_format))
-    return lines
+    append("")  # the join then ends each line, and gives "" for no triple
+    return "\n".join(lines)
 
 
 def _box_germs(N: int, limit: int):
@@ -374,14 +374,15 @@ def _box_germs(N: int, limit: int):
 
 
 def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bool = False) -> int:
-    """Classify every well-formed sorted triple a <= b <= c <= N, hand each
-    output line to `write` and return the record count.
+    """Classify every well-formed sorted triple a <= b <= c <= N, hand
+    `write` the CSV header line (CSV only), then each task's block from
+    `_scan_slice`, and return the record count: the blocks' newlines.
 
     Each germ of the box is classified once per run, here, before any
-    worker is forked; the workers inherit the cached records.  There is
-    one task per value of a; its lines reach `write` in triple order,
-    whatever the worker count, as soon as the task is back.
-    """
+    worker is forked; the workers inherit the cached records.  Each block
+    reaches `write` in task order, whatever the worker count, once its
+    task is back.  No record holds a raw newline: JSON escapes one, and no
+    CSV field can hold one."""
     from .pool import fan_out  # only a scan compiles the pool
 
     if N < 1:
@@ -389,7 +390,7 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if csv_format:
-        write(",".join(RECORD_CSV_HEADER))
+        write(",".join(RECORD_CSV_HEADER) + "\n")
     # The task a = 1 meets every one of these germs, so at --jobs 1 this
     # classifies nothing the scan would not, and forked workers inherit
     # the records instead of each classifying them again.  It stops at the
@@ -399,11 +400,10 @@ def run_scan(N: int, write, jobs: int = 1, explain: bool = False, csv_format: bo
         point_core(m, q)
     count = 0
     tasks = [(N, a, explain, csv_format) for a in range(1, N + 1)]
-    with fan_out(_scan_slice, tasks, jobs) as chunks:
-        for lines in chunks:
-            for line in lines:
-                write(line)
-            count += len(lines)
+    with fan_out(_scan_slice, tasks, jobs) as blocks:
+        for block in blocks:
+            write(block)
+            count += block.count("\n")
     return count
 
 
@@ -613,20 +613,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args, out)
     except ValueError as exc:
-        _report(exc)
+        _report(f"error: {exc}")
         return EXIT_INVALID_INPUT
     except OSError as exc:
-        _report(exc)
+        _report(f"error: {exc}")
         return EXIT_IO_FAILURE
 
 
-def _report(exc: Exception) -> None:
-    """Write the `error:` line of `exc` to stderr.  A stderr that cannot
+def _report(line: str) -> None:
+    """Write an `error:` or `warning:` line to stderr.  A stderr that cannot
     take it (a closed pipe, a full disk, a closed descriptor) loses the
-    line, not the exit code already chosen."""
+    line, not the output or the exit code."""
     try:
         if sys.stderr is not None:  # else print would write to stdout
-            print(f"error: {exc}", file=sys.stderr)
+            print(line, file=sys.stderr)
     except OSError:
         pass
 
@@ -657,7 +657,7 @@ def run(argv: list[str] | None = None):
             sys.stdout.flush()
     except OSError as exc:
         if code != EXIT_IO_FAILURE:
-            _report(exc)
+            _report(f"error: {exc}")
         code = EXIT_IO_FAILURE
     try:
         if sys.stderr is not None:
@@ -711,7 +711,7 @@ def _dispatch(args, out) -> int:
         if args.csv:
             # A CSV table has no envelope to carry the warnings.
             for warning in warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+                _report(f"warning: {warning}")
             if not args.quiet:
                 print(",".join(CENSUS_CSV_HEADER), file=out)
                 for c in censuses:
@@ -730,12 +730,12 @@ def _dispatch(args, out) -> int:
 def _run_scan_command(args, out) -> int:
     import contextlib
 
-    from .pool import atomic_line_writer
+    from .pool import atomic_writer
 
     # The census validates N, so invalid input exits 2 before --out is opened.
     cen = density.census(args.N)
-    write = (lambda line: None) if args.quiet else functools.partial(print, file=out)
-    writer = contextlib.nullcontext(write) if args.out is None else atomic_line_writer(args.out)
+    write = (lambda block: None) if args.quiet or out is None else out.write  # None: stdout closed
+    writer = contextlib.nullcontext(write) if args.out is None else atomic_writer(args.out)
     with writer as write:
         count = run_scan(args.N, write, args.jobs, args.explain, args.csv)
     summary = make_envelope(

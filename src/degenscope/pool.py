@@ -105,13 +105,27 @@ def fan_out(fn, tasks: list, jobs: int):
 
 
 @contextlib.contextmanager
-def atomic_line_writer(path: str):
-    """Yield a line writer into a temporary file in the directory of `path`
-    and rename it to `path` on success, so a failed run leaves any previous
-    file at `path` untouched and no partial file behind.  The temporary
+def atomic_writer(path: str):
+    """Yield the `write` of a text file that becomes `path` when the block
+    ends without error.  Errors name `path`, not the file written.
+
+    A missing path or a regular file, also at the end of a symlink, is
+    written as a temporary file in the target's directory and renamed onto
+    the target, so a failed run leaves any previous file untouched and no
+    partial file behind, and a symlink keeps its target.  The temporary
     name holds the pid and a random token, drawn again while a file of
-    that name exists: one left by a killed run is not touched."""
-    directory, name = os.path.split(os.path.abspath(path))
+    that name exists: one left by a killed run is not touched.  Any other
+    existing path (a FIFO, a device) is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        try:
+            fh = open(target, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _naming(exc, path) from None
+        with fh:
+            yield fh.write
+        return
+    directory, name = os.path.split(target)
     while True:
         tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
         try:
@@ -123,9 +137,9 @@ def atomic_line_writer(path: str):
             raise _naming(exc, path) from None
     try:
         with fh:
-            yield lambda line: fh.write(line + "\n")
+            yield fh.write
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise _naming(exc, path) from None
     except BaseException:

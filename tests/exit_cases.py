@@ -14,7 +14,8 @@ given, and `tests/test_portability.py` runs that tool on the current one.
 hard exit that skips interpreter teardown, except under a profiler or
 tracer, whose report needs the normal exit.  A write or flush that fails
 (a full disk, a closed pipe) exits 4 with exactly one `error:` line; a
-stderr that cannot take that line changes no exit code.
+stderr that cannot take that line, or a `warning:` line, changes no exit
+code and no output.
 """
 
 from __future__ import annotations
@@ -166,6 +167,27 @@ def closed_streams(streams: str, argv: list[str], code: int, python: str, tmp: s
     return report(proc, exits(proc, code), (proc.stdout == proc.stderr == b"", "output written"))
 
 
+# `--csv density 7` with a failed bound check forced: a CSV table has no
+# envelope, so its one warning goes to stderr.
+FORCED_WARNING = (
+    "from degenscope import cli\n"
+    "cli._bound_check_warnings = lambda censuses: ['forced warning']\n"
+    "cli.run(['--csv', 'density', '7'])\n"
+)
+
+
+def lost_warning(dead_pipe: bool, python: str, tmp: str) -> str:
+    """A warning that stderr cannot take (a pipe whose reader has gone, or
+    `sys.stderr` None) is lost: the run exits 0 with the CSV table alone on
+    stdout."""
+    table = spawn(python, ["-m", "degenscope", "--csv", "density", "7"], tmp, capture_output=True).stdout
+    if dead_pipe:
+        proc = spawn_on_dead_pipe(python, ["-c", FORCED_WARNING], tmp, ("stderr",), stdout=subprocess.PIPE)
+    else:
+        proc = spawn(python, ["-c", "import sys\nsys.stderr = None\n" + FORCED_WARNING], tmp, capture_output=True)
+    return report(proc, exits(proc, 0), (proc.stdout == table, "stdout is not the CSV table alone"))
+
+
 def usage_error(python: str, tmp: str) -> str:
     proc = spawn(python, ["-c", "from degenscope import cli\ncli.run(['wps'])\n"], tmp, capture_output=True)
     return report(proc, exits(proc, 2), (proc.stderr.startswith(b"usage:"), "no usage on stderr"))
@@ -235,6 +257,9 @@ ROWS = {
     "closed_stdout": partial(closed_streams, "sys.stdout", ["cqs", "1", "1", "1"], 0),
     "closed_stdout_and_stderr": partial(closed_streams, "sys.stdout = sys.stderr", ["cqs", "1", "1", "1"], 0),
     "closed_stderr_bad_input": partial(closed_streams, "sys.stderr", ["cqs", "0", "1", "1"], 2),
+    "closed_stdout_scan": partial(closed_streams, "sys.stdout", ["scan", "5"], 0),
+    "closed_pipe_stderr_csv_warning": partial(lost_warning, True),
+    "closed_stderr_csv_warning": partial(lost_warning, False),
     "usage_error": usage_error,
     "setprofile": partial(ends, "sys.setprofile(lambda *a: None)\n" + RUN, True),
     "settrace": partial(ends, "sys.settrace(lambda *a: None)\n" + RUN, True),

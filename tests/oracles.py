@@ -1,4 +1,6 @@
-"""Independent reference implementations the tests check the library against."""
+"""Independent reference implementations the tests check the library
+against, and `scan_blocks` / `scan_lines`, the scan's output as the tests
+read it, its block contract checked."""
 
 from __future__ import annotations
 
@@ -81,6 +83,25 @@ def scan_csv_line(p: WpsTriple) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([*p, record["verdict"], kinds, record["mld"], record["k2"]])
     return buf.getvalue()
+
+
+def scan_blocks(N: int, **kwargs) -> list[str]:
+    """The strings `cli.run_scan(N, write, **kwargs)` hands `write`, one per
+    call, after checking its block contract: the CSV header line (CSV
+    only), then one block per task a = 1..N, each empty or ending in a
+    newline, and a returned record count equal to the blocks' lines."""
+    blocks: list[str] = []
+    count = cli.run_scan(N, blocks.append, **kwargs)
+    header = 1 if kwargs.get("csv_format") else 0
+    assert len(blocks) == header + N
+    assert all(block == "" or block.endswith("\n") for block in blocks)
+    assert count == sum(block.count("\n") for block in blocks[header:])
+    return blocks
+
+
+def scan_lines(N: int, **kwargs) -> list[str]:
+    """The lines of `scan_blocks(N, **kwargs)`, without their terminators."""
+    return [line for block in scan_blocks(N, **kwargs) for line in block.split("\n")[:-1]]
 
 
 def single_role_count(N: int) -> int:

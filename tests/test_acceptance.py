@@ -31,6 +31,7 @@ from degenscope.cqs import (
     wahl,
 )
 from degenscope.wps import Outcome, WpsTriple
+from oracles import scan_blocks
 from test_density import _ordered_b_members
 
 
@@ -337,11 +338,10 @@ def test_criterion_09_density_trend_and_bounds():
 
 
 def test_criterion_10_determinism():
-    seq, par = [], []
-    count_seq = cli.run_scan(100, seq.append, jobs=1)
-    count_par = cli.run_scan(100, par.append, jobs=8)
-    scan_ok = count_seq == count_par == len(seq) > 0 and seq == par
-    report(10, "scan 100 --jobs 8 equals --jobs 1 (output lines byte-identical, in order)", scan_ok)
+    # scan_blocks checks that each run's returned count is its lines.
+    seq, par = scan_blocks(100, jobs=1), scan_blocks(100, jobs=8)
+    scan_ok = seq == par and seq[0].count("\n") > 0
+    report(10, "scan 100 --jobs 8 equals --jobs 1 (output blocks byte-identical, in order)", scan_ok)
 
     rng = random.Random(20250810)
     parser = cli.build_parser()

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from math import gcd
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from import_budget import over_budget
+from oracles import scan_lines
 
 from degenscope import cli, cqs, density, pool, wps
 from degenscope.cli import (
@@ -48,15 +51,6 @@ def run_json(capsys, *argv):
 def usable_cpus(monkeypatch, n):
     """Let `fan_out` see n CPUs in this process's affinity mask."""
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def scan_lines(N, **kwargs):
-    """The output lines `run_scan` writes, after checking its record count."""
-    lines = []
-    count = run_scan(N, lines.append, **kwargs)
-    header = 1 if kwargs.get("csv_format") else 0
-    assert count == len(lines) - header
-    return lines
 
 
 class TestFractions:
@@ -330,6 +324,42 @@ class TestScanCommand:
         assert [path.read_text() for path in stale] == ["stale\n"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["o.jsonl", *(p.name for p in stale)])
 
+    def test_out_symlink_keeps_its_target(self, tmp_path, capsys):
+        # The scan replaces the file a symlink names, as it would that file,
+        # and creates the file a dangling symlink names.
+        plain = tmp_path / "plain.jsonl"
+        assert run_cli(capsys, "scan", "5", "--out", str(plain))[0] == EXIT_OK
+        (tmp_path / "real.jsonl").write_text("previous run\n")
+        for link, target in (("link.jsonl", "real.jsonl"), ("dangling.jsonl", "new.jsonl")):
+            (tmp_path / link).symlink_to(target)
+            code, _, err = run_cli(capsys, "scan", "5", "--out", str(tmp_path / link))
+            assert code == EXIT_OK, err
+            assert (tmp_path / link).is_symlink() and os.readlink(tmp_path / link) == target
+            assert (tmp_path / target).read_bytes() == plain.read_bytes()
+        names = ["dangling.jsonl", "link.jsonl", "new.jsonl", "plain.jsonl", "real.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_out_fifo_delivers_the_records(self, tmp_path, capsys):
+        # A FIFO is written in place: its reader gets the bytes of a file.
+        plain, fifo, spare = tmp_path / "plain.jsonl", tmp_path / "records.fifo", tmp_path / "spare"
+        assert run_cli(capsys, "scan", "5", "--out", str(plain))[0] == EXIT_OK
+        os.mkfifo(fifo)
+        os.link(fifo, spare)  # reaches the FIFO even if its path is replaced
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code, _, err = run_cli(capsys, "scan", "5", "--out", str(fifo))
+            reader.join(timeout=60)
+        finally:
+            if reader.is_alive():  # nothing opened the FIFO: end the reader's wait
+                os.close(os.open(spare, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == EXIT_OK, err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == [plain.read_bytes()]
+
 
 class _ForkRecorder:
     """Wraps `os.fork` and `pool.fan_out` for one test: records the pids of
@@ -443,10 +473,10 @@ class TestJobs:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_scan_streams_each_task_before_the_next_runs(self, monkeypatch, tmp_path, jobs):
-        # Task 2 waits until a line of task 1 has been written, then logs
+        # Task 2 waits until the block of task 1 has been written, then logs
         # itself.  At jobs=1 it runs after task 1; with two real workers it
-        # runs beside task 1.  Either way it is logged after that line only
-        # if the scan writes task 1's lines as soon as that task is back.
+        # runs beside task 1.  Either way it is logged after that block only
+        # if the scan writes task 1's block as soon as that task is back.
         forks = _ForkRecorder(monkeypatch)
         usable_cpus(monkeypatch, 2)
         log, marker = tmp_path / "events", tmp_path / "task-1-written"
@@ -457,22 +487,22 @@ class TestJobs:
             append_line(log, f"task {args[1]}")
             return _fn(args)
 
-        def write(line):
-            a = json.loads(line)["input"]["triple"][0]
-            append_line(log, f"line {a}")
-            if a == 1:
-                marker.touch()
+        def write(block):
+            for a in {json.loads(line)["input"]["triple"][0] for line in block.splitlines()}:
+                append_line(log, f"block {a}")
+                if a == 1:
+                    marker.touch()
 
         monkeypatch.setattr(cli, "_scan_slice", spied)
         run_scan(6, write, jobs=jobs)
         events = log.read_text().splitlines()
-        assert events.index("line 1") < events.index("task 2")
+        assert events.index("block 1") < events.index("task 2")
         tasks = [e for e in events if e.startswith("task")]
         assert sorted(tasks) == [f"task {a}" for a in range(1, 7)]
         if jobs == 1:
             assert tasks == sorted(tasks)
-        lines = [int(e.split()[1]) for e in events if e.startswith("line")]
-        assert lines == sorted(lines)
+        blocks = [int(e.split()[1]) for e in events if e.startswith("block")]
+        assert blocks == sorted(blocks)
         assert forks.pool_sizes == [0 if jobs == 1 else 2] and forks.all_reaped()
 
     def test_forked_workers_classify_no_germ(self, monkeypatch, tmp_path):
@@ -499,11 +529,11 @@ class TestJobs:
         usable_cpus(monkeypatch, 2)
         written = []
 
-        def write(line):
-            a = json.loads(line)["input"]["triple"][0]
-            if a == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            written.append(a)
+        def write(block):
+            for a in {json.loads(line)["input"]["triple"][0] for line in block.splitlines()}:
+                if a == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(a)
 
         with pytest.raises(OSError):
             run_scan(8, write, jobs=2)
@@ -513,7 +543,7 @@ class TestJobs:
     def test_failing_write_leaves_no_worker_behind(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
 
-        def write(line):
+        def write(block):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         with pytest.raises(OSError):

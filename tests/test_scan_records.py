@@ -13,9 +13,9 @@ import random
 from math import gcd
 
 import pytest
-from oracles import scan_csv_line, scan_json_line, scan_planes, scan_record
+from oracles import scan_blocks, scan_csv_line, scan_json_line, scan_lines, scan_planes, scan_record
 
-from degenscope import cli, wps
+from degenscope import cli, pool, wps
 from degenscope.wps import WpsTriple
 
 BOX = 60
@@ -37,17 +37,33 @@ def box_planes() -> list[WpsTriple]:
 
 @pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
 def test_box_json_lines_equal_the_oracle(explain, box_planes):
-    lines: list[str] = []
-    assert cli.run_scan(BOX, lines.append, explain=explain) == len(box_planes)
+    lines = scan_lines(BOX, explain=explain)  # scan_lines checks the returned count
+    assert len(lines) == len(box_planes)
     assert first_difference(lines, box_planes, lambda p: scan_json_line(p, explain)) is None
 
 
 @pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
 def test_box_csv_rows_equal_the_oracle(explain, box_planes):
-    lines: list[str] = []
-    assert cli.run_scan(BOX, lines.append, explain=explain, csv_format=True) == len(box_planes)
+    lines = scan_lines(BOX, explain=explain, csv_format=True)
+    assert len(lines) == 1 + len(box_planes)
     assert lines[0] == ",".join(cli.RECORD_CSV_HEADER)
     assert first_difference(lines[1:], box_planes, scan_csv_line) is None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("output", ["json", "csv", "explain"])
+def test_each_block_is_the_oracle_lines_of_its_task(monkeypatch, output, jobs):
+    # `scan_blocks` checks the header, one block per task and the count.
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    explain, csv_format = output == "explain", output == "csv"
+    for N in range(1, 15):
+        blocks = scan_blocks(N, jobs=jobs, explain=explain, csv_format=csv_format)
+        if csv_format:
+            assert blocks.pop(0) == ",".join(cli.RECORD_CSV_HEADER) + "\n"
+        for a, block in enumerate(blocks, 1):
+            planes = [p for p in scan_planes(N) if p[0] == a]
+            lines = [scan_csv_line(p) if csv_format else scan_json_line(p, explain) for p in planes]
+            assert block == "".join(f"{line}\n" for line in lines), (N, a)
 
 
 def _log_uniform(rng: random.Random, top: int) -> int:

@@ -22,6 +22,7 @@ from degenscope.wps import (
     wps_mld,
     wps_mld_below,
 )
+from oracles import scan_lines
 from test_density import _ordered_b_members
 
 
@@ -397,9 +398,8 @@ class TestOnePass:
         assert calls == dict.fromkeys(self.COUNTED, 1)
 
     def test_scan(self, calls):
-        lines = []
-        records = cli.run_scan(12, lines.append)
-        assert records == len(lines) > 0
+        records = len(scan_lines(12))  # scan_lines checks the returned count
+        assert records > 0
         # Every scanned triple is well-formed: one mld_less_than per plane.
         assert calls == dict.fromkeys(self.COUNTED, records)
 
@@ -447,7 +447,7 @@ class TestScanBookkeeping:
     MAX_GCD_PER_PLANE = 9
 
     def test_scan_plane_counts(self, monkeypatch):
-        cli.run_scan(12, lambda line: None)  # warm the germ caches
+        cli.run_scan(12, lambda block: None)  # warm the germ caches
         counts = {"CqsGerm.__new__": 0, "gcd": 0}
 
         def germ_new(cls, *args, _new=CqsGerm.__new__):
@@ -461,9 +461,8 @@ class TestScanBookkeeping:
         monkeypatch.setattr(CqsGerm, "__new__", staticmethod(germ_new))
         for module in (wps, cli, cqs):
             monkeypatch.setattr(module, "gcd", counted_gcd)
-        lines = []
-        records = cli.run_scan(12, lines.append)
-        assert records == len(lines) == 91
+        records = len(scan_lines(12))  # scan_lines checks the returned count
+        assert records == 91
         assert counts["CqsGerm.__new__"] == 0
         assert counts["gcd"] <= self.MAX_GCD_PER_PLANE * records
         # The guards count: a validated germ is seen.
